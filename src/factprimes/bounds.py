@@ -19,6 +19,12 @@ Theorem identifiers and their claimed validity windows:
 plus the table-backed checks TB2/TB4 (theta deviation), PI_LB/PI_UB
 (prime-count bounds) and S32_perfecter (two-sided perfecter bound).
 
+Each of these is one :class:`Bound` record in ``BOUNDS``.  :func:`sweep`
+walks a range in windows of ``WINDOW`` points and yields per-point arrays
+(lhs, rhs, slack, verdicts); pointwise evaluation is a one-point window, so
+both go through the same numpy right-hand side and agree bit for bit.
+Memory stays O(WINDOW) however long the range is.
+
 Note the T1 right-hand side contains (n-1) * log log(n-1), which diverges
 to -inf at n = 2; the verifier evaluates and reports exactly that, so the
 n = 2 endpoint of T1's claimed window comes out as a violation.
@@ -30,16 +36,17 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
 from .perfecter import perfecter_bounds
-from .primes import PrimeTable, check_dusart_pi, check_dusart_theta
+from .primes import PI_LOWER_MIN_N, PrimeTable, pi_bounds, theta_deviation_bounds
 from .report import MARGINAL_SLACK, BoundReport
 from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
                                 exp_integral, integrate)
-from .upsilon import upsilon_range, upsilon_value
+from .upsilon import omega_window, upsilon_value
 
 # Interval half-width used when an exact rational mean is compared against
 # a binary64 right-hand side, to keep negligible-slack points from flipping.
@@ -85,40 +92,9 @@ EXACT_EVAL = {
 # quadrature, no exponential integral).
 CLOSED_FORM = ("c1", "c5", "c9", "c10", "e3_min")
 
-THEOREM_VALIDITY = {
-    "T1_upper_upsilon": 2,
-    "T2_upper_mean": 3,
-    "C3_upper_mean": 12_602_987,
-    "T4_lower_upsilon": 3,
-    "T5_lower_mean": 2,
-    "TB2": 2,
-    "TB4": 2,
-    "PI_LB": 599,
-    "PI_UB": 2,
-    "S32_perfecter": 4,
-}
-
-THEOREM_ALIASES = {
-    "T1": "T1_upper_upsilon",
-    "T2": "T2_upper_mean",
-    "C3": "C3_upper_mean",
-    "T4": "T4_lower_upsilon",
-    "T5": "T5_lower_mean",
-    "S32": "S32_perfecter",
-}
-
 # Rational coefficient of log n in the simplified mean upper bound.
 C3_SLOPE_NUM = 380537
 C3_SLOPE_DEN = 17966
-
-
-def resolve_theorem_id(theorem_id: str) -> str:
-    """Expand a short alias (T1, ..., T5, C3, S32) to the canonical id."""
-    tid = THEOREM_ALIASES.get(theorem_id, theorem_id)
-    if tid not in THEOREM_VALIDITY:
-        known = sorted(set(THEOREM_VALIDITY) | set(THEOREM_ALIASES))
-        raise DomainError(f"unknown theorem id {theorem_id!r}; known: {known}")
-    return tid
 
 
 @dataclass(frozen=True)
@@ -228,7 +204,11 @@ def kappa(n: float) -> float:
     """Correction factor 5000 log n / (6381 + 5000 log n), in (0, 1)."""
     if n < 2:
         raise DomainError(f"kappa needs n >= 2, got {n}")
-    lg = math.log(n)
+    return _kappa(math.log(n))
+
+
+def _kappa(lg):
+    # kappa as a function of log n, for floats and arrays alike
     return 5000 * lg / (6381 + 5000 * lg)
 
 
@@ -323,94 +303,278 @@ def s2(table: PrimeTable, n: int) -> float:
     return math.log(n) * math.fsum(1.0 / np.log(ps))
 
 
-def _loglog(x: float) -> float:
-    """log log x, with the x = 1 endpoint reported as -inf."""
-    lx = math.log(x)
-    if lx == 0.0:
-        return float("-inf")
-    return math.log(lx)
+# ------------------------------------------------------------ right-hand sides
+# Each takes a float64 array of n and the constants.  The operation order is
+# that of the printed formulas; log log 1 = log 0 = -inf is wanted (T1 and T2
+# at n = 2), so _rhs evaluates them with the divide warning off.
 
-
-def rhs_t1(n: float, c: ConstantsTable | None = None) -> float:
-    """Upper-bound right-hand side for the exponent sum (validity n >= 2)."""
-    c = c or default_constants()
-    lg = math.log(n)
-    return ((n - 1) * _loglog(n - 1) + c.c4 * (n - 1)
+def _rhs_t1(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
+    lg = np.log(n)
+    return ((n - 1) * np.log(np.log(n - 1)) + c.c4 * (n - 1)
             + n / lg + 1717433 * n / lg**5)
 
 
-def rhs_t2(n: float, c: ConstantsTable | None = None) -> float:
-    """Upper-bound right-hand side for the mean exponent (validity n >= 3)."""
-    c = c or default_constants()
-    lg = math.log(n)
+def _rhs_t2(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
+    lg = np.log(n)
     b = 1 + lg
-    return (lg / b * lg * _loglog(n - 1) + c.c4 * lg * lg / b
+    return (lg / b * lg * np.log(np.log(n - 1)) + c.c4 * lg * lg / b
             + lg / b + 1717433 / (b * lg**3))
 
 
-def rhs_c3(n: float, c: ConstantsTable | None = None) -> float:
-    """Simplified mean upper bound (validity n >= 12602987)."""
-    lg = math.log(n)
-    return lg * math.log(lg) + C3_SLOPE_NUM / C3_SLOPE_DEN * lg + 1
+def _rhs_c3(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
+    lg = np.log(n)
+    return lg * np.log(lg) + C3_SLOPE_NUM / C3_SLOPE_DEN * lg + 1
 
 
-def rhs_t4(n: float, c: ConstantsTable | None = None) -> float:
-    """Lower-bound right-hand side for the exponent sum (validity n >= 3)."""
-    c = c or default_constants()
-    lg = math.log(n)
-    return ((n - 1) * math.log(lg) + c.c8 * (n - 1) - n / lg
+def _rhs_t4(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
+    lg = np.log(n)
+    return ((n - 1) * np.log(lg) + c.c8 * (n - 1) - n / lg
             - 16381 * n / (5000 * lg**2) - 6 * n / lg**3
             - 54281 * n / (800 * lg**4) - c.c10 * lg)
 
 
-def rhs_t5(n: float, c: ConstantsTable | None = None) -> float:
-    """Lower-bound right-hand side for the mean exponent (validity n >= 2)."""
-    c = c or default_constants()
-    lg = math.log(n)
-    k = kappa(n)
-    return ((n - 1) * k / n * lg * math.log(lg) + c.c8 * (n - 1) * k * lg / n
+def _rhs_t5(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
+    lg = np.log(n)
+    k = _kappa(lg)
+    return ((n - 1) * k / n * lg * np.log(lg) + c.c8 * (n - 1) * k * lg / n
             - 16381 * k / (5000 * lg) - 6 * k / lg**2
             - 54281 * k / (800 * lg**3) - c.c10 * k * lg * lg / n)
 
 
-_RHS = {
-    "T1_upper_upsilon": rhs_t1,
-    "T2_upper_mean": rhs_t2,
-    "C3_upper_mean": rhs_c3,
-    "T4_lower_upsilon": rhs_t4,
-    "T5_lower_mean": rhs_t5,
-}
+# ------------------------------------------------------------------ registry
 
-_UPPER = {"T1_upper_upsilon", "T2_upper_mean", "C3_upper_mean", "TB2", "TB4", "PI_UB"}
-_MEAN_LHS = {"T2_upper_mean", "C3_upper_mean", "T5_lower_mean"}
+@dataclass(frozen=True)
+class Bound:
+    """One checked inequality ``lhs <sense> rhs(n)``, claimed for n >= start.
+
+    ``lhs`` names the left-hand side: "upsilon" (exponent sum of n!),
+    "mean" (upsilon / pi(n), re-decided exactly near the boundary),
+    "theta" (|theta(n) - n|), "pi" (prime count) or "perfecter" (log of the
+    minimal square perfecter).  ``sense`` is "<", ">", "<=" or ">=", or
+    "between" for the two-sided perfecter bound, whose sides both come from
+    perfecter_bounds (``rhs`` is None there).  ``rhs`` maps a float64 array
+    of n and the constants to the right-hand side.
+    """
+
+    id: str
+    alias: str | None
+    start: int
+    sense: str
+    lhs: str
+    rhs: Callable[[np.ndarray, ConstantsTable], np.ndarray] | None
+
+    @property
+    def upper(self) -> bool:
+        """True when the slack is rhs - lhs (an upper bound on the lhs)."""
+        return self.sense in ("<", "<=")
 
 
-def _mean_report(tid: str, n: int, ups: int, pin: int, rhs: float) -> BoundReport:
-    """Compare the exact rational mean against a float rhs with widening."""
-    mean_f = ups / pin
-    upper = tid in _UPPER
-    slack = (rhs - mean_f) if upper else (mean_f - rhs)
-    if abs(slack) < 1e-3 and math.isfinite(rhs):
-        mean_exact = Fraction(ups, pin)
-        rhs_exact = Fraction(rhs)
-        if upper:
-            holds = mean_exact < rhs_exact + MEAN_WIDENING
-        else:
-            holds = mean_exact > rhs_exact - MEAN_WIDENING
+BOUNDS = {b.id: b for b in (
+    Bound("T1_upper_upsilon", "T1", 2, "<", "upsilon", _rhs_t1),
+    Bound("T2_upper_mean", "T2", 3, "<", "mean", _rhs_t2),
+    Bound("C3_upper_mean", "C3", 12_602_987, "<", "mean", _rhs_c3),
+    Bound("T4_lower_upsilon", "T4", 3, ">", "upsilon", _rhs_t4),
+    Bound("T5_lower_mean", "T5", 2, ">", "mean", _rhs_t5),
+    Bound("TB2", None, 2, "<", "theta", lambda n, c: theta_deviation_bounds(n)[0]),
+    Bound("TB4", None, 2, "<", "theta", lambda n, c: theta_deviation_bounds(n)[1]),
+    Bound("PI_LB", None, PI_LOWER_MIN_N, ">=", "pi", lambda n, c: pi_bounds(n)[0]),
+    Bound("PI_UB", None, 2, "<=", "pi", lambda n, c: pi_bounds(n)[1]),
+    Bound("S32_perfecter", "S32", 4, "between", "perfecter", None),
+)}
+
+_ALIASES = {b.alias: b.id for b in BOUNDS.values() if b.alias}
+
+_COMPARE = {"<": np.less, ">": np.greater, "<=": np.less_equal, ">=": np.greater_equal}
+
+
+def resolve_theorem_id(theorem_id: str) -> str:
+    """Expand a short alias (T1, ..., T5, C3, S32) to the canonical id."""
+    tid = _ALIASES.get(theorem_id, theorem_id)
+    if tid not in BOUNDS:
+        known = sorted(set(BOUNDS) | set(_ALIASES))
+        raise DomainError(f"unknown theorem id {theorem_id!r}; known: {known}")
+    return tid
+
+
+def _rhs(bound: Bound, n: np.ndarray, c: ConstantsTable) -> np.ndarray:
+    with np.errstate(divide="ignore"):
+        return bound.rhs(n, c)
+
+
+def _scalar_rhs(tid: str, n: float, c: ConstantsTable | None) -> float:
+    # a one-point array, so the value is bit-identical to the sweep's
+    if n < 2:
+        raise DomainError(f"bounds are evaluated for n >= 2, got {n}")
+    return float(_rhs(BOUNDS[tid], np.array([n], dtype=np.float64),
+                      c or default_constants())[0])
+
+
+def rhs_t1(n: float, c: ConstantsTable | None = None) -> float:
+    """Upper-bound right-hand side for the exponent sum (validity n >= 2)."""
+    return _scalar_rhs("T1_upper_upsilon", n, c)
+
+
+def rhs_t2(n: float, c: ConstantsTable | None = None) -> float:
+    """Upper-bound right-hand side for the mean exponent (validity n >= 3)."""
+    return _scalar_rhs("T2_upper_mean", n, c)
+
+
+def rhs_c3(n: float, c: ConstantsTable | None = None) -> float:
+    """Simplified mean upper bound (validity n >= 12602987)."""
+    return _scalar_rhs("C3_upper_mean", n, c)
+
+
+def rhs_t4(n: float, c: ConstantsTable | None = None) -> float:
+    """Lower-bound right-hand side for the exponent sum (validity n >= 3)."""
+    return _scalar_rhs("T4_lower_upsilon", n, c)
+
+
+def rhs_t5(n: float, c: ConstantsTable | None = None) -> float:
+    """Lower-bound right-hand side for the mean exponent (validity n >= 2)."""
+    return _scalar_rhs("T5_lower_mean", n, c)
+
+
+# -------------------------------------------------------------- sweep engine
+
+# Points per sweep window; the engine's memory is O(WINDOW).
+WINDOW = 1 << 16
+
+
+class Window(NamedTuple):
+    """Per-point arrays of one bound over consecutive points, ascending in n.
+
+    The fields are those of BoundReport after its theorem id.
+    """
+
+    n: np.ndarray
+    lhs: np.ndarray
+    rhs: np.ndarray
+    slack: np.ndarray
+    holds: np.ndarray
+    applicable: np.ndarray
+    marginal: np.ndarray
+
+
+def _check_range(table: PrimeTable, n_from: int, n_to: int) -> None:
+    if n_from > n_to:
+        raise DomainError(f"empty range [{n_from}, {n_to}]")
+    if n_from < 2:
+        raise DomainError(f"bounds are evaluated for n >= 2, got {n_from}")
+    if n_to > table.limit:
+        raise OutOfRangeError(f"n={n_to} exceeds table limit {table.limit}")
+
+
+def _mean_holds(upper: bool, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
+                rhs: np.ndarray, slack: np.ndarray) -> np.ndarray:
+    """Verdicts on the mean: a 1e-9 float cushion, except that points with
+    |slack| < 1e-3 compare the exact rational mean with the rhs widened by
+    MEAN_WIDENING, so negligible-slack points cannot flip on rounding."""
+    holds = mean < rhs + 1e-9 if upper else mean > rhs - 1e-9
+    for i in np.flatnonzero((np.abs(slack) < 1e-3) & np.isfinite(rhs)).tolist():
+        mean_exact = Fraction(int(ups[i]), int(pis[i]))
+        rhs_exact = Fraction(float(rhs[i]))
+        holds[i] = (mean_exact < rhs_exact + MEAN_WIDENING if upper
+                    else mean_exact > rhs_exact - MEAN_WIDENING)
+    return holds
+
+
+def _perfecter_sides(table: PrimeTable, ns: np.ndarray):
+    # one perfecter_factorial per point; the lhs is the log perfecter, the
+    # rhs the upper exponent, the slack the smaller of the two margins
+    pairs = [perfecter_bounds(table, int(n)) for n in ns]
+    lhs = np.array([lo.lhs for lo, _ in pairs], dtype=np.float64)
+    rhs = np.array([hi.rhs for _, hi in pairs], dtype=np.float64)
+    slack = np.array([min(lo.slack, hi.slack) for lo, hi in pairs], dtype=np.float64)
+    holds = np.array([lo.holds and hi.holds for lo, hi in pairs], dtype=bool)
+    return lhs, rhs, slack, holds
+
+
+def _window(table: PrimeTable, bound: Bound, ns: np.ndarray, c: ConstantsTable,
+            ups: np.ndarray | None = None) -> Window:
+    """Evaluate one bound at the int64 points ns.
+
+    ups holds upsilon(ns) when the caller carries the recurrence; otherwise
+    each point's exponent sum is evaluated directly.
+    """
+    if bound.lhs == "perfecter":
+        lhs, rhs, slack, holds = _perfecter_sides(table, ns)
     else:
-        holds = (mean_f < rhs + 1e-9) if upper else (mean_f > rhs - 1e-9)
-    return BoundReport(tid, n, mean_f, rhs, slack, bool(holds),
-                       applicable=n >= THEOREM_VALIDITY[tid],
-                       marginal=abs(slack) < MARGINAL_SLACK)
+        rhs = _rhs(bound, ns.astype(np.float64), c)
+        if bound.lhs in ("upsilon", "mean") and ups is None:
+            ups = np.array([upsilon_value(table, int(n)) for n in ns], dtype=np.int64)
+        if bound.lhs == "upsilon":
+            lhs = ups.astype(np.float64)
+        else:
+            pis = np.searchsorted(table.primes, ns, side="right")
+            if bound.lhs == "mean":
+                lhs = ups / pis
+            elif bound.lhs == "theta":
+                lhs = np.abs(table.log_prefix[pis - 1] - ns)
+            else:
+                lhs = pis.astype(np.float64)
+        slack = rhs - lhs if bound.upper else lhs - rhs
+        if bound.lhs == "mean":
+            holds = _mean_holds(bound.upper, ups, pis, lhs, rhs, slack)
+        else:
+            holds = _COMPARE[bound.sense](lhs, rhs)
+    return Window(ns, lhs, rhs, slack, holds, ns >= bound.start,
+                  np.abs(slack) < MARGINAL_SLACK)
 
 
-def _upsilon_report(tid: str, n: int, ups: int, rhs: float) -> BoundReport:
-    upper = tid in _UPPER
-    slack = (rhs - ups) if upper else (ups - rhs)
-    holds = (ups < rhs) if upper else (ups > rhs)
-    return BoundReport(tid, n, float(ups), rhs, slack, bool(holds),
-                       applicable=n >= THEOREM_VALIDITY[tid],
-                       marginal=abs(slack) < MARGINAL_SLACK)
+def _exhaustive(table: PrimeTable, bound: Bound, n_from: int, n_to: int,
+                c: ConstantsTable) -> Iterator[Window]:
+    # upsilon(n) = upsilon(n-1) + Omega(n): one direct evaluation at n_from,
+    # then Omega cumsums with the running total carried across windows
+    counted = bound.lhs in ("upsilon", "mean")
+    running = upsilon_value(table, n_from) if counted else 0
+    for lo in range(n_from, n_to + 1, WINDOW):
+        hi = min(lo + WINDOW - 1, n_to)
+        ups = None
+        if counted:
+            omega = omega_window(table, lo, hi)
+            if lo == n_from:
+                omega[0] = 0  # already counted in upsilon(n_from)
+            ups = running + np.cumsum(omega)
+            running = int(ups[-1])
+        yield _window(table, bound, np.arange(lo, hi + 1, dtype=np.int64), c, ups)
+
+
+def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
+    """k geometrically spaced integers spanning [n_from, n_to], deduplicated."""
+    if n_from < 1 or n_from > n_to or k < 1:
+        raise DomainError(f"bad sampling request [{n_from}, {n_to}] x {k}")
+    pts = np.geomspace(n_from, n_to, k).round().astype(np.int64)
+    return np.unique(np.clip(pts, n_from, n_to))
+
+
+def sweep(table: PrimeTable, theorem_id: str, n_from: int, n_to: int, *,
+          log_samples: int | None = None,
+          constants: ConstantsTable | None = None) -> Iterator[Window]:
+    """Evaluate one bound over [n_from, n_to], one window at a time.
+
+    Exhaustive sweeps walk consecutive windows of WINDOW points; with
+    log_samples the log-spaced points are walked instead, their exponent
+    sums evaluated point by point.  The arguments are checked when this is
+    called, before the first window is computed.
+
+    Raises:
+        DomainError: unknown id, empty range, or n_from < 2.
+        OutOfRangeError: n_to beyond the table limit.
+    """
+    bound = BOUNDS[resolve_theorem_id(theorem_id)]
+    _check_range(table, n_from, n_to)
+    c = constants or default_constants()
+    if log_samples is None:
+        return _exhaustive(table, bound, n_from, n_to, c)
+    points = log_spaced(n_from, n_to, log_samples)
+    return (_window(table, bound, points[i:i + WINDOW], c)
+            for i in range(0, len(points), WINDOW))
+
+
+def _window_reports(theorem_id: str, window: Window) -> list[BoundReport]:
+    """One BoundReport per point of a window."""
+    return [BoundReport(theorem_id, *row)
+            for row in zip(*(a.tolist() for a in window))]
 
 
 def evaluate_theorem(table: PrimeTable, theorem_id: str, n: int,
@@ -423,29 +587,11 @@ def evaluate_theorem(table: PrimeTable, theorem_id: str, n: int,
     Raises:
         DomainError / OutOfRangeError: n not evaluable at all.
     """
-    tid = resolve_theorem_id(theorem_id)
-    if tid == "TB2":
-        return check_dusart_theta(table, n)[0]
-    if tid == "TB4":
-        return check_dusart_theta(table, n)[1]
-    if tid == "PI_LB":
-        return check_dusart_pi(table, n)[0]
-    if tid == "PI_UB":
-        return check_dusart_pi(table, n)[1]
-    if tid == "S32_perfecter":
-        lower, upper = perfecter_bounds(table, n)
-        slack = min(lower.slack, upper.slack)
-        return BoundReport(tid, n, lower.lhs, upper.rhs, slack,
-                           lower.holds and upper.holds,
-                           marginal=abs(slack) < MARGINAL_SLACK)
-
-    c = constants or default_constants()
-    rhs = _RHS[tid](n, c)
-    ups = upsilon_value(table, n)
-    if tid in _MEAN_LHS:
-        pin = int(np.searchsorted(table.primes, n, side="right"))
-        return _mean_report(tid, n, ups, pin, rhs)
-    return _upsilon_report(tid, n, ups, rhs)
+    bound = BOUNDS[resolve_theorem_id(theorem_id)]
+    _check_range(table, n, n)
+    window = _window(table, bound, np.array([n], dtype=np.int64),
+                     constants or default_constants())
+    return _window_reports(bound.id, window)[0]
 
 
 @dataclass(frozen=True)
@@ -465,29 +611,35 @@ class RangeSummary:
     marginal_count: int
 
 
-def summarize_reports(tid: str, n_from: int, n_to: int, sampling: str,
-                      reports: list[BoundReport]) -> RangeSummary:
-    applicable = [r for r in reports if r.applicable]
-    violations = tuple(int(r.n) for r in applicable if not r.holds)
-    if applicable:
-        best = min(applicable, key=lambda r: r.slack)
-        min_slack, argmin_n = best.slack, int(best.n)
-    else:
-        min_slack, argmin_n = math.inf, n_from
+def summarize_reports(theorem_id: str, n_from: int, n_to: int,
+                      log_samples: int | None,
+                      windows: Iterable[Window]) -> RangeSummary:
+    """Reduce sweep windows to a summary, one window at a time.
+
+    Only applicable points count towards the verdict, the minimum slack
+    (the first minimum in ascending n) and the marginal count.
+    """
+    n_checked = n_applicable = marginal_count = 0
+    violations: list[int] = []
+    min_slack, argmin_n = math.inf, n_from
+    found = False
+    for w in windows:
+        idx = np.flatnonzero(w.applicable)
+        n_checked += len(w.n)
+        n_applicable += len(idx)
+        violations += w.n[idx[~w.holds[idx]]].tolist()
+        marginal_count += int(np.count_nonzero(w.marginal[idx]))
+        if len(idx):
+            best = idx[np.argmin(w.slack[idx])]
+            if not found or w.slack[best] < min_slack:
+                min_slack, argmin_n = float(w.slack[best]), int(w.n[best])
+                found = True
+    sampling = "exhaustive" if log_samples is None else f"log-spaced({log_samples})"
     return RangeSummary(
-        theorem_id=tid, n_from=n_from, n_to=n_to, sampling=sampling,
-        n_checked=len(reports), n_applicable=len(applicable),
+        theorem_id=theorem_id, n_from=n_from, n_to=n_to, sampling=sampling,
+        n_checked=n_checked, n_applicable=n_applicable,
         all_hold=not violations, min_slack=min_slack, argmin_n=argmin_n,
-        violations=violations,
-        marginal_count=sum(1 for r in applicable if r.marginal))
-
-
-def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
-    """k geometrically spaced integers spanning [n_from, n_to], deduplicated."""
-    if n_from < 1 or n_from > n_to or k < 1:
-        raise DomainError(f"bad sampling request [{n_from}, {n_to}] x {k}")
-    pts = np.geomspace(n_from, n_to, k).round().astype(np.int64)
-    return np.unique(np.clip(pts, n_from, n_to))
+        violations=tuple(violations), marginal_count=marginal_count)
 
 
 def verify_range(table: PrimeTable, theorem_id: str, n_from: int, n_to: int,
@@ -496,36 +648,12 @@ def verify_range(table: PrimeTable, theorem_id: str, n_from: int, n_to: int,
                  ) -> tuple[list[BoundReport], RangeSummary]:
     """Evaluate one bound over [n_from, n_to], exhaustively or log-spaced.
 
-    Exhaustive runs over the exponent-sum theorems use the windowed scanner
-    (one direct evaluation plus the factor-count recurrence), so a full
-    sweep of [2, 1e5] costs well under a second.  Reports come back in
-    ascending n regardless of internal evaluation order.
+    Returns a report for every point, in ascending n, plus the summary.
+    Callers that need only the summary, or a stream of rows, consume
+    :func:`sweep` directly and hold one window at a time.
     """
     tid = resolve_theorem_id(theorem_id)
-    if n_from > n_to:
-        raise DomainError(f"empty range [{n_from}, {n_to}]")
-    c = constants or default_constants()
-    sampling = "exhaustive" if log_samples is None else f"log-spaced({log_samples})"
-
-    if log_samples is not None or tid not in _RHS:
-        if log_samples is None:
-            points = range(n_from, n_to + 1)
-        else:
-            points = [int(x) for x in log_spaced(n_from, n_to, log_samples)]
-        reports = [evaluate_theorem(table, tid, int(n), constants=c)
-                   for n in points]
-        return reports, summarize_reports(tid, n_from, n_to, sampling, reports)
-
-    # exhaustive sweep of an exponent-sum / mean theorem
-    ns, ups, pis = upsilon_range(table, n_from, n_to)
-    rhs_fn = _RHS[tid]
-    reports = []
-    if tid in _MEAN_LHS:
-        for n, u, p in zip(ns, ups, pis):
-            reports.append(_mean_report(tid, int(n), int(u), int(p),
-                                        rhs_fn(int(n), c)))
-    else:
-        for n, u in zip(ns, ups):
-            reports.append(_upsilon_report(tid, int(n), int(u),
-                                           rhs_fn(int(n), c)))
-    return reports, summarize_reports(tid, n_from, n_to, sampling, reports)
+    windows = list(sweep(table, tid, n_from, n_to, log_samples=log_samples,
+                         constants=constants))
+    reports = [r for w in windows for r in _window_reports(tid, w)]
+    return reports, summarize_reports(tid, n_from, n_to, log_samples, windows)

@@ -3,7 +3,9 @@
 Commands: decompose, verify, constants, perfecter, scan.  All numeric
 output is rendered with fixed 12-significant-digit formatting and '.' as
 the decimal point, so identical invocations produce byte-identical output
-regardless of locale, platform, or the --jobs setting.
+regardless of locale or platform.  --jobs is accepted for compatibility
+and has no effect: threads measured no gain for verify and a slowdown for
+scan.
 
 Exit codes: 0 success / all checks hold, 1 a verified inequality failed or
 a constant missed its tolerance, 2 bad arguments, 3 resource limits or
@@ -13,11 +15,10 @@ unwritable output.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
-import math
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 import numpy as np
@@ -68,11 +69,6 @@ def _build_table(needed: int, max_sieve: int | None) -> primes.PrimeTable:
     return primes.build_table(max(needed, 2), limit_cap=cap)
 
 
-def _chunks(items: list[int], n_chunks: int) -> list[list[int]]:
-    size = max(1, math.ceil(len(items) / n_chunks))
-    return [items[i:i + size] for i in range(0, len(items), size)]
-
-
 # ---------------------------------------------------------------- decompose
 
 def cmd_decompose(args) -> int:
@@ -111,9 +107,25 @@ def cmd_decompose(args) -> int:
 
 # ------------------------------------------------------------------- verify
 
-def _verify_chunk(table, tid, lo, hi, log_samples, constants):
-    return bounds.verify_range(table, tid, lo, hi, log_samples=log_samples,
-                               constants=constants)
+# violations printed with their sides; the summary line counts them all
+MAX_SHOWN = 20
+
+CSV_HEADER = "theorem_id,n,lhs,rhs,slack,holds,applicable,marginal"
+
+
+def _stream(tid, windows, fh, shown):
+    """Pass sweep windows through, writing each point's CSV row to fh (when
+    given) and keeping the first MAX_SHOWN violations in shown."""
+    for w in windows:
+        if fh is not None:
+            fh.writelines(
+                f"{tid},{fmt(n)},{fmt(lhs)},{fmt(rhs)},{fmt(slack)},{fmt(holds)},"
+                f"{fmt(applicable)},{fmt(marginal)}\n"
+                for n, lhs, rhs, slack, holds, applicable, marginal
+                in zip(*(a.tolist() for a in w)))
+        bad = np.flatnonzero(w.applicable & ~w.holds)[:MAX_SHOWN - len(shown)]
+        shown += zip(*(a[bad].tolist() for a in (w.n, w.lhs, w.rhs, w.slack)))
+        yield w
 
 
 def cmd_verify(args) -> int:
@@ -126,38 +138,22 @@ def cmd_verify(args) -> int:
         print("note: perfecter bounds start at n = 4; clipping range",
               file=sys.stderr)
         n_from = 4
-    validity = bounds.THEOREM_VALIDITY[tid]
     table = _build_table(n_to, args.max_sieve)
-    constants = bounds.default_constants()
+    windows = bounds.sweep(table, tid, n_from, n_to, log_samples=args.log_samples)
 
-    log_samples = args.log_samples  # None means exhaustive (the default mode)
-    if args.jobs > 1 and log_samples is None and n_to - n_from > args.jobs:
-        edges = np.linspace(n_from, n_to + 1, args.jobs + 1).astype(int)
-        spans = [(int(edges[i]), int(edges[i + 1] - 1)) for i in range(args.jobs)
-                 if edges[i] <= edges[i + 1] - 1]
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            parts = list(pool.map(
-                lambda s: _verify_chunk(table, tid, s[0], s[1], None, constants),
-                spans))
-        reports = [r for part in parts for r in part[0]]
-        summary = bounds.summarize_reports(tid, n_from, n_to, "exhaustive", reports)
-    else:
-        reports, summary = bounds.verify_range(
-            table, tid, n_from, n_to, log_samples=log_samples,
-            constants=constants)
+    shown: list[tuple] = []
+    try:
+        with (open(args.out, "w", newline="") if args.out
+              else contextlib.nullcontext()) as fh:
+            if fh is not None:
+                fh.write(CSV_HEADER + "\n")
+            summary = bounds.summarize_reports(tid, n_from, n_to, args.log_samples,
+                                               _stream(tid, windows, fh, shown))
+    except OSError as exc:
+        print(f"cannot write report: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
 
-    if args.out:
-        try:
-            with open(args.out, "w", newline="") as fh:
-                fh.write("theorem_id,n,lhs,rhs,slack,holds,applicable,marginal\n")
-                for r in reports:
-                    fh.write(f"{r.theorem_id},{fmt(r.n)},{fmt(r.lhs)},{fmt(r.rhs)},"
-                             f"{fmt(r.slack)},{fmt(r.holds)},{fmt(r.applicable)},"
-                             f"{fmt(r.marginal)}\n")
-        except OSError as exc:
-            print(f"cannot write report: {exc}", file=sys.stderr)
-            return EXIT_RESOURCE
-
+    validity = bounds.BOUNDS[tid].start
     skipped = summary.n_checked - summary.n_applicable
     note = f" ({skipped} below the validity window n >= {validity})" if skipped else ""
     print(f"{tid} [{n_from}..{n_to}] {summary.sampling}: "
@@ -165,14 +161,11 @@ def cmd_verify(args) -> int:
     if summary.all_hold:
         print(f"all hold; min slack {fmt(summary.min_slack)} at n={summary.argmin_n}")
         return EXIT_OK
-    shown = summary.violations[:20]
     print(f"VIOLATIONS at {len(summary.violations)} point(s): "
-          + ", ".join(str(v) for v in shown)
+          + ", ".join(str(n) for n, *_ in shown)
           + (", ..." if len(summary.violations) > len(shown) else ""))
-    for r in reports:
-        if r.applicable and not r.holds and int(r.n) in shown:
-            print(f"  n={int(r.n)}: lhs={fmt(r.lhs)} rhs={fmt(r.rhs)} "
-                  f"slack={fmt(r.slack)}")
+    for n, lhs, rhs, slack in shown:
+        print(f"  n={n}: lhs={fmt(lhs)} rhs={fmt(rhs)} slack={fmt(slack)}")
     return EXIT_VIOLATION
 
 
@@ -244,7 +237,7 @@ def _scan_row(table, constants, n: int) -> str:
         cells += [fmt(t4), fmt(ups > t4)]
     else:
         cells += ["", ""]
-    if n >= bounds.THEOREM_VALIDITY["C3_upper_mean"]:
+    if n >= bounds.BOUNDS["C3_upper_mean"].start:
         c3 = bounds.rhs_c3(n, constants)
         cells += [fmt(c3), fmt(mean < c3)]
     else:
@@ -259,16 +252,8 @@ def cmd_scan(args) -> int:
         return EXIT_USAGE
     table = _build_table(args.n_to, args.max_sieve)
     constants = bounds.default_constants()
-    points = list(range(args.n_from, args.n_to + 1, args.step))
-
-    if args.jobs > 1 and len(points) > args.jobs:
-        with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-            row_chunks = list(pool.map(
-                lambda chunk: [_scan_row(table, constants, n) for n in chunk],
-                _chunks(points, args.jobs)))
-        rows = [row for chunk in row_chunks for row in chunk]
-    else:
-        rows = [_scan_row(table, constants, n) for n in points]
+    rows = [_scan_row(table, constants, n)
+            for n in range(args.n_from, args.n_to + 1, args.step)]
 
     try:
         with open(args.out, "w", newline="") as fh:
@@ -312,7 +297,8 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--log-samples", type=int, default=None, metavar="K",
                       help="check K geometrically spaced points instead")
     p.add_argument("--out", default=None, help="write per-n CSV report here")
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     add_max_sieve(p)
     p.set_defaults(func=cmd_verify)
 
@@ -334,7 +320,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="n_to", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1)
+    p.add_argument("--jobs", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     add_max_sieve(p)
     p.set_defaults(func=cmd_scan)
     return parser

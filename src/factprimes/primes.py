@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .report import BoundReport
+from .report import MARGINAL_SLACK, BoundReport
 
 # Hard memory cap for sieve construction (bytes scale with limit/2).
 DEFAULT_LIMIT_CAP = 200_000_000
@@ -177,6 +177,27 @@ def nth_prime(table: PrimeTable, k: int) -> int:
     return int(table.primes[k - 1])
 
 
+def theta_deviation_bounds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Right-hand sides (793/200) x / log^2 x and 1717433 x / log^4 x of the
+    theta-deviation bounds TB2 and TB4, elementwise over a float64 array."""
+    lg = np.log(x)
+    return (THETA_DEV_QUAD_NUM * x / (THETA_DEV_QUAD_DEN * lg * lg),
+            THETA_DEV_QUARTIC * x / lg**4)
+
+
+def pi_bounds(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper pi(n) estimates (n/log n)(1 + 1/log n) and
+    (n/log n)(1 + 6381/(5000 log n)), elementwise over a float64 array."""
+    lg = np.log(n)
+    return (n / lg * (1 + 1 / lg),
+            n / lg * (1 + PI_UPPER_NUM / (PI_UPPER_DEN * lg)))
+
+
+def _at(formula, x: float) -> tuple[float, ...]:
+    # a formula evaluated on a one-point array, as Python floats
+    return tuple(float(v[0]) for v in formula(np.array([x], dtype=np.float64)))
+
+
 def check_dusart_theta(table: PrimeTable, x: float) -> tuple[BoundReport, BoundReport]:
     """Evaluate both explicit theta-deviation inequalities at x.
 
@@ -190,13 +211,11 @@ def check_dusart_theta(table: PrimeTable, x: float) -> tuple[BoundReport, BoundR
     if x < 2:
         raise DomainError(f"deviation checks need x >= 2, got {x}")
     lhs = abs(theta(table, x) - x)
-    lg = math.log(x)
-    rhs2 = THETA_DEV_QUAD_NUM * x / (THETA_DEV_QUAD_DEN * lg * lg)
-    rhs4 = THETA_DEV_QUARTIC * x / lg**4
+    rhs2, rhs4 = _at(theta_deviation_bounds, x)
     rep2 = BoundReport("TB2", x, lhs, rhs2, rhs2 - lhs, lhs < rhs2,
-                       marginal=abs(rhs2 - lhs) < 1e-6)
+                       marginal=abs(rhs2 - lhs) < MARGINAL_SLACK)
     rep4 = BoundReport("TB4", x, lhs, rhs4, rhs4 - lhs, lhs < rhs4,
-                       marginal=abs(rhs4 - lhs) < 1e-6)
+                       marginal=abs(rhs4 - lhs) < MARGINAL_SLACK)
     return rep2, rep4
 
 
@@ -213,12 +232,10 @@ def check_dusart_pi(table: PrimeTable, n: int) -> tuple[BoundReport, BoundReport
     if n < 2:
         raise DomainError(f"pi bounds need n >= 2, got {n}")
     count = pi(table, n)
-    lg = math.log(n)
-    lower = n / lg * (1 + 1 / lg)
-    upper = n / lg * (1 + PI_UPPER_NUM / (PI_UPPER_DEN * lg))
+    lower, upper = _at(pi_bounds, n)
     rep_lb = BoundReport("PI_LB", n, count, lower, count - lower,
                          count >= lower, applicable=n >= PI_LOWER_MIN_N,
-                         marginal=abs(count - lower) < 1e-6)
+                         marginal=abs(count - lower) < MARGINAL_SLACK)
     rep_ub = BoundReport("PI_UB", n, count, upper, upper - count,
-                         count <= upper, marginal=abs(upper - count) < 1e-6)
+                         count <= upper, marginal=abs(upper - count) < MARGINAL_SLACK)
     return rep_lb, rep_ub

@@ -4,20 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-# Canonical identifiers for every inequality the package can evaluate.
-THEOREM_IDS = (
-    "T1_upper_upsilon",
-    "T2_upper_mean",
-    "C3_upper_mean",
-    "T4_lower_upsilon",
-    "T5_lower_mean",
-    "TB2",
-    "TB4",
-    "PI_LB",
-    "PI_UB",
-    "S32_perfecter",
-)
-
 # Slacks smaller than this are flagged marginal so a reader knows the
 # comparison is within floating-point shouting distance of the boundary.
 MARGINAL_SLACK = 1e-6

@@ -22,6 +22,7 @@ _INV_E = math.exp(-1.0)
 
 _SERIES_CF_SWITCH = 1.0  # classical switch point between series and CF
 _MAX_ITER = 400
+_HALLEY_MAX_ITER = 100
 
 
 @dataclass(frozen=True)
@@ -141,8 +142,12 @@ def lambert_w(x: float) -> float:
     1e-13 * max(1, |x|).
 
     Raises:
-        DomainError: x < -1/e (outside the principal branch).
+        DomainError: x < -1/e (outside the principal branch) or not finite.
+        QuadratureError: Halley iteration did not converge (the last
+            iterate and its residual ride along on the error).
     """
+    if not math.isfinite(x):
+        raise DomainError(f"lambert_w needs a finite x, got {x}")
     if x < -_INV_E:
         raise DomainError(f"lambert_w needs x >= -1/e, got {x}")
     if x == -_INV_E:
@@ -155,14 +160,15 @@ def lambert_w(x: float) -> float:
         w = -1.0 + math.sqrt(2.0 * (1.0 + math.e * x))
     else:
         w = x
-    for _ in range(100):
+    for _ in range(_HALLEY_MAX_ITER):
         ew = math.exp(w)
         resid = w * ew - x
         if abs(resid) <= 1e-13 * max(1.0, abs(x)):
             return w
         w1 = w + 1.0
         w -= resid / (ew * w1 - (w + 2.0) * resid / (2.0 * w1))
-    return w
+    raise QuadratureError("Halley iteration failed to converge",
+                          best_value=w, err_estimate=abs(w * math.exp(w) - x))
 
 
 def log_integral_expansion(n: float, terms: int) -> tuple[float, float]:
@@ -199,16 +205,14 @@ def log_integral_expansion(n: float, terms: int) -> tuple[float, float]:
 def log_integral(n: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[float, float]:
     """Integral of 1/log x from 2 to n by adaptive quadrature.
 
-    The integrand blows up at x = 1; the fixed lower limit 2 keeps every
-    evaluation safely away from the singularity (guarded by an assertion
-    rather than trusted).
+    The integrand blows up at x = 1; the fixed lower limit 2 and the
+    domain check keep every evaluation away from that singularity.
 
     Raises:
         DomainError: n < 2.
     """
     if n < 2:
         raise DomainError(f"log_integral starts at 2, got upper limit {n}")
-    assert n >= 1.5  # never straddle the 1/log x singularity at x = 1
     if n == 2:
         return 0.0, 0.0
     return integrate(lambda x: 1.0 / math.log(x), 2.0, float(n), spec)

@@ -21,7 +21,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError
+from .errors import DomainError, FactprimesError, OutOfRangeError
 from .primes import PrimeTable, nth_prime, pi
 from .special_functions import lambert_w
 from .valuation import valuation_vector
@@ -176,12 +176,13 @@ def mean_location(table: PrimeTable, n: int) -> MeanLocation:
     Raises:
         DomainError: n < 3.
         OutOfRangeError: n beyond the table limit.
+        FactprimesError: the exponents are not nonincreasing in p.
     """
     if n < 3:
         raise DomainError(f"mean_location needs n >= 3, got {n}")
     v = valuation_vector(table, n)
     if np.any(np.diff(v) > 0):
-        raise AssertionError("exponent sequence is not nonincreasing")
+        raise FactprimesError(f"exponent sequence of {n}! is not nonincreasing")
     ups = int(v.sum())
     pi_n = len(v)
     dev = np.abs(v * pi_n - ups)
@@ -217,9 +218,7 @@ def lambert_w_index(n: int) -> float:
     if n < ASYMPTOTIC_MIN_N:
         raise DomainError(f"index asymptotics need n >= 16, got {n}")
     big_l = math.log(n) * math.log(math.log(n))
-    arg = n / big_l
-    assert arg > 0  # cannot reach the branch cut for n >= 16
-    return n / (big_l * lambert_w(arg))
+    return n / (big_l * lambert_w(n / big_l))
 
 
 def mean_vs_Lth_prime(table: PrimeTable, n: int) -> float:

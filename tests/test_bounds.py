@@ -4,11 +4,12 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from factprimes import (DomainError, default_constants, error_terms,
-                        evaluate_theorem, kappa, log_integral, s1, s2, theta,
-                        upsilon_value, verify_range)
+from factprimes import (DomainError, RangeSummary, default_constants,
+                        error_terms, evaluate_theorem, kappa, log_integral, s1,
+                        s2, theta, upsilon_value, verify_range)
+from factprimes import bounds
 from factprimes.bounds import (CLOSED_FORM, EXACT_EVAL, TABULATED,
-                               log_spaced, resolve_theorem_id, rhs_t1)
+                               log_spaced, resolve_theorem_id, rhs_t1, sweep)
 from factprimes.errors import OutOfRangeError, ResourceLimitError
 
 
@@ -269,3 +270,78 @@ class TestResidualBandConsistency:
             upper_band = (rhs_t1(n) - n * llg) / n
             lower_band = (rhs_t4(n) - n * llg) / n
             assert lower_band < residual < upper_band, n
+
+
+ALL_IDS = ["T1_upper_upsilon", "T2_upper_mean", "C3_upper_mean",
+           "T4_lower_upsilon", "T5_lower_mean", "TB2", "TB4", "PI_LB",
+           "PI_UB", "S32_perfecter"]
+
+
+def reduce_pointwise(tid, n_from, n_to, sampling, reports):
+    """Reference reduction: the summary as a loop over per-n reports."""
+    applicable = [r for r in reports if r.applicable]
+    violations = tuple(int(r.n) for r in applicable if not r.holds)
+    if applicable:
+        best = min(applicable, key=lambda r: r.slack)
+        min_slack, argmin_n = best.slack, int(best.n)
+    else:
+        min_slack, argmin_n = math.inf, n_from
+    return RangeSummary(
+        theorem_id=tid, n_from=n_from, n_to=n_to, sampling=sampling,
+        n_checked=len(reports), n_applicable=len(applicable),
+        all_hold=not violations, min_slack=min_slack, argmin_n=argmin_n,
+        violations=violations,
+        marginal_count=sum(1 for r in applicable if r.marginal))
+
+
+class TestSweepEngine:
+    @pytest.mark.parametrize("tid", ALL_IDS)
+    def test_window_edges_match_pointwise(self, tid, table_big, monkeypatch):
+        # S32 costs one perfecter per point, so it spans its windows with a
+        # shorter WINDOW; every other id runs the real one
+        if tid == "S32_perfecter":
+            monkeypatch.setattr(bounds, "WINDOW", 64)
+        lo = 4 if tid == "S32_perfecter" else 3
+        hi = lo + 3 * bounds.WINDOW + 17
+        windows = list(sweep(table_big, tid, lo, hi))
+        assert len(windows) == 4
+        assert [int(w.n[0]) for w in windows] == [lo + k * bounds.WINDOW for k in range(4)]
+        reports, _ = verify_range(table_big, tid, lo, hi)
+        assert [int(r.n) for r in reports] == list(range(lo, hi + 1))
+        edges = [lo, hi] + [lo + k * bounds.WINDOW + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+        for n in edges:
+            assert reports[n - lo] == evaluate_theorem(table_big, tid, n), n
+
+    @pytest.mark.parametrize("tid", ALL_IDS)
+    @pytest.mark.parametrize("log_samples", [None, 40])
+    def test_summary_matches_pointwise_reduction(self, tid, log_samples, table_small):
+        lo, hi = (4 if tid == "S32_perfecter" else 2), 1500
+        reports, summary = verify_range(table_small, tid, lo, hi, log_samples=log_samples)
+        points = range(lo, hi + 1) if log_samples is None else log_spaced(lo, hi, log_samples)
+        pointwise = [evaluate_theorem(table_small, tid, int(n)) for n in points]
+        assert reports == pointwise
+        assert summary == reduce_pointwise(tid, lo, hi, summary.sampling, pointwise)
+
+    @pytest.mark.parametrize("tid", ALL_IDS)
+    def test_rejects_n_below_2(self, tid, table_small):
+        with pytest.raises(DomainError):
+            sweep(table_small, tid, 1, 100)
+        with pytest.raises(DomainError):
+            sweep(table_small, tid, 1, 100, log_samples=5)
+        with pytest.raises(DomainError):
+            evaluate_theorem(table_small, tid, 1)
+
+    def test_range_beyond_table(self, table_small):
+        with pytest.raises(OutOfRangeError):
+            sweep(table_small, "TB2", 2, table_small.limit + 1)
+
+    @pytest.mark.parametrize("tid", ["T1", "T2", "C3", "T4", "T5"])
+    def test_scalar_rhs_is_the_sweep_rhs(self, tid, table_small):
+        fn = getattr(bounds, f"rhs_{tid.lower()}")
+        (window,) = sweep(table_small, tid, 2, 5000)
+        for i in (0, 1, 977, 4998):
+            value = fn(int(window.n[i]))
+            assert type(value) is float
+            assert value == window.rhs[i]
+        with pytest.raises(DomainError):
+            fn(1)

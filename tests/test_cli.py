@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from factprimes.cli import SCAN_HEADER, main
+from factprimes import build_table, evaluate_theorem
+from factprimes.cli import CSV_HEADER, SCAN_HEADER, fmt, main
 
 
 def run(capsys, *argv):
@@ -100,6 +101,36 @@ class TestVerify:
     def test_empty_range(self, capsys):
         code, _, _ = run(capsys, "verify", "T1", "--from", "10", "--to", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("theorem", ["T1", "T2", "C3", "T4", "T5", "TB2",
+                                         "TB4", "PI_LB", "PI_UB"])
+    @pytest.mark.parametrize("mode", [[], ["--log-samples", "5"]])
+    def test_n_below_2_is_a_bad_request(self, capsys, theorem, mode):
+        code, out, err = run(capsys, "verify", theorem, "--from", "1", "--to", "100",
+                             *mode)
+        assert code == 2
+        assert "bad request" in err and out == ""
+
+    @pytest.mark.parametrize("theorem", ["T2", "T5"])
+    def test_report_rows_match_pointwise(self, capsys, tmp_path, theorem):
+        out_file = tmp_path / "rows.csv"
+        code, _, _ = run(capsys, "verify", theorem, "--from", "2", "--to", "3000",
+                         "--out", str(out_file))
+        assert code == 0
+        table = build_table(3000)
+        rows = [CSV_HEADER]
+        for n in range(2, 3001):
+            r = evaluate_theorem(table, theorem, n)
+            rows.append(",".join([r.theorem_id] + [fmt(x) for x in (
+                r.n, r.lhs, r.rhs, r.slack, r.holds, r.applicable, r.marginal)]))
+        assert out_file.read_bytes() == ("\n".join(rows) + "\n").encode()
+
+    def test_violation_lines(self, capsys):
+        code, out, _ = run(capsys, "verify", "T1", "--from", "2", "--to", "70000")
+        assert code == 1
+        lines = out.splitlines()
+        assert lines[1] == "VIOLATIONS at 1 point(s): 2"
+        assert lines[2] == "  n=2: lhs=1 rhs=-inf slack=-inf"
 
 
 class TestConstants:

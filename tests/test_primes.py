@@ -5,7 +5,7 @@ import pytest
 
 from factprimes import (DomainError, OutOfRangeError, ResourceLimitError,
                         build_table, check_dusart_pi, check_dusart_theta,
-                        nth_prime, pi, theta, theta_classed)
+                        nth_prime, pi, primes, theta, theta_classed)
 
 
 def trial_primes(limit):
@@ -125,6 +125,14 @@ class TestDusartPi:
     def test_both_at_1e6(self, table_big):
         rep_lb, rep_ub = check_dusart_pi(table_big, 10**6)
         assert rep_lb.holds and rep_ub.holds
+
+
+def test_marginal_flags_follow_marginal_slack(table_small, monkeypatch):
+    # all four slacks at n = 10 are below 1e6 in size, so that threshold flags all
+    monkeypatch.setattr(primes, "MARGINAL_SLACK", 1e6)
+    reports = check_dusart_theta(table_small, 10) + check_dusart_pi(table_small, 10)
+    assert all(r.marginal for r in reports)
+    assert all(type(x) is float for r in reports for x in (r.rhs, r.slack))
 
 
 class TestThetaClassAdditivity:

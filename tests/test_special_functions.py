@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 
 from factprimes import (DomainError, QuadratureError, QuadratureSpec,
                         exp_integral, integrate, lambert_w, log_integral,
-                        log_integral_expansion)
+                        log_integral_expansion, special_functions)
 
 
 def quad_exp_integral(a, z):
@@ -93,6 +93,18 @@ class TestLambertW:
     def test_domain(self):
         with pytest.raises(DomainError):
             lambert_w(-0.5)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    def test_non_finite_rejected(self, x):
+        with pytest.raises(DomainError):
+            lambert_w(x)
+
+    def test_unconverged_iteration_raises(self, monkeypatch):
+        monkeypatch.setattr(special_functions, "_HALLEY_MAX_ITER", 1)
+        with pytest.raises(QuadratureError) as exc:
+            lambert_w(1e6)
+        w = exc.value.best_value
+        assert exc.value.err_estimate == abs(w * math.exp(w) - 1e6) > 1e-3
 
     @given(x=st.floats(min_value=-0.36, max_value=1e8,
                        allow_nan=False, allow_infinity=False))

@@ -1,3 +1,4 @@
+import importlib
 import math
 from fractions import Fraction
 
@@ -6,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factprimes import (DomainError, lambert_w_index,
+from factprimes import (DomainError, FactprimesError, lambert_w_index,
                         mean_location, mean_vs_Lth_prime, omega, upsilon,
                         upsilon_asymptotic_gap, upsilon_range, upsilon_value,
                         valuation_vector)
@@ -114,6 +115,13 @@ class TestMeanLocation:
         loc = mean_location(table_small, 3)
         assert loc.p_star == 2 and loc.k_star == 1 and loc.v_star == 1
         assert loc.p_approx is None and loc.k_approx is None
+
+    def test_increasing_exponents_raise(self, table_small, monkeypatch):
+        module = importlib.import_module("factprimes.upsilon")
+        monkeypatch.setattr(module, "valuation_vector",
+                            lambda table, n: np.arange(1, 5, dtype=np.int64))
+        with pytest.raises(FactprimesError):
+            mean_location(table_small, 10)
 
     def test_at_100(self, table_small):
         loc = mean_location(table_small, 100)
