@@ -41,12 +41,12 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .perfecter import perfecter_bounds
+from .perfecter import perfecter_exponents, perfecter_factorial
 from .primes import PI_LOWER_MIN_N, PrimeTable, pi_bounds, theta_deviation_bounds
 from .report import MARGINAL_SLACK, BoundReport
 from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
                                 exp_integral, integrate)
-from .upsilon import omega_window, upsilon_value
+from .upsilon import Columns, factorial_windows, upsilon_value
 
 # Interval half-width used when an exact rational mean is compared against
 # a binary64 right-hand side, to keep negligible-slack points from flipping.
@@ -306,7 +306,7 @@ def s2(table: PrimeTable, n: int) -> float:
 # ------------------------------------------------------------ right-hand sides
 # Each takes a float64 array of n and the constants.  The operation order is
 # that of the printed formulas; log log 1 = log 0 = -inf is wanted (T1 and T2
-# at n = 2), so _rhs evaluates them with the divide warning off.
+# at n = 2), so Bound.rhs_at evaluates them with the divide warning off.
 
 def _rhs_t1(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
     lg = np.log(n)
@@ -352,8 +352,9 @@ class Bound:
     "theta" (|theta(n) - n|), "pi" (prime count) or "perfecter" (log of the
     minimal square perfecter).  ``sense`` is "<", ">", "<=" or ">=", or
     "between" for the two-sided perfecter bound, whose sides both come from
-    perfecter_bounds (``rhs`` is None there).  ``rhs`` maps a float64 array
-    of n and the constants to the right-hand side.
+    perfecter_exponents (``rhs`` is None there; the upper exponent is
+    reported as the rhs).  ``rhs`` maps a float64 array of n and the
+    constants to the right-hand side.
     """
 
     id: str
@@ -367,6 +368,11 @@ class Bound:
     def upper(self) -> bool:
         """True when the slack is rhs - lhs (an upper bound on the lhs)."""
         return self.sense in ("<", "<=")
+
+    def rhs_at(self, n: np.ndarray, c: ConstantsTable) -> np.ndarray:
+        """The right-hand side at a float64 array of n."""
+        with np.errstate(divide="ignore"):
+            return self.rhs(n, c)
 
 
 BOUNDS = {b.id: b for b in (
@@ -396,17 +402,12 @@ def resolve_theorem_id(theorem_id: str) -> str:
     return tid
 
 
-def _rhs(bound: Bound, n: np.ndarray, c: ConstantsTable) -> np.ndarray:
-    with np.errstate(divide="ignore"):
-        return bound.rhs(n, c)
-
-
 def _scalar_rhs(tid: str, n: float, c: ConstantsTable | None) -> float:
     # a one-point array, so the value is bit-identical to the sweep's
     if n < 2:
         raise DomainError(f"bounds are evaluated for n >= 2, got {n}")
-    return float(_rhs(BOUNDS[tid], np.array([n], dtype=np.float64),
-                      c or default_constants())[0])
+    return float(BOUNDS[tid].rhs_at(np.array([n], dtype=np.float64),
+                                    c or default_constants())[0])
 
 
 def rhs_t1(n: float, c: ConstantsTable | None = None) -> float:
@@ -455,11 +456,13 @@ class Window(NamedTuple):
     marginal: np.ndarray
 
 
-def _check_range(table: PrimeTable, n_from: int, n_to: int) -> None:
+def _check_range(table: PrimeTable, bound: Bound, n_from: int, n_to: int) -> None:
     if n_from > n_to:
         raise DomainError(f"empty range [{n_from}, {n_to}]")
     if n_from < 2:
         raise DomainError(f"bounds are evaluated for n >= 2, got {n_from}")
+    if bound.lhs == "perfecter" and n_from < bound.start:
+        raise DomainError(f"perfecter bounds need n >= {bound.start}, got {n_from}")
     if n_to > table.limit:
         raise OutOfRangeError(f"n={n_to} exceeds table limit {table.limit}")
 
@@ -478,30 +481,26 @@ def _mean_holds(upper: bool, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
     return holds
 
 
-def _perfecter_sides(table: PrimeTable, ns: np.ndarray):
-    # one perfecter_factorial per point; the lhs is the log perfecter, the
-    # rhs the upper exponent, the slack the smaller of the two margins
-    pairs = [perfecter_bounds(table, int(n)) for n in ns]
-    lhs = np.array([lo.lhs for lo, _ in pairs], dtype=np.float64)
-    rhs = np.array([hi.rhs for _, hi in pairs], dtype=np.float64)
-    slack = np.array([min(lo.slack, hi.slack) for lo, hi in pairs], dtype=np.float64)
-    holds = np.array([lo.holds and hi.holds for lo, hi in pairs], dtype=bool)
-    return lhs, rhs, slack, holds
-
-
 def _window(table: PrimeTable, bound: Bound, ns: np.ndarray, c: ConstantsTable,
-            ups: np.ndarray | None = None) -> Window:
+            cols: Columns | None = None) -> Window:
     """Evaluate one bound at the int64 points ns.
 
-    ups holds upsilon(ns) when the caller carries the recurrence; otherwise
-    each point's exponent sum is evaluated directly.
+    cols holds the exact left-hand sides at ns when the caller walks them
+    with factorial_windows; otherwise each point's is evaluated directly.
     """
+    nf = ns.astype(np.float64)
     if bound.lhs == "perfecter":
-        lhs, rhs, slack, holds = _perfecter_sides(table, ns)
+        lhs = (cols.log_perfecter if cols is not None else np.array(
+            [perfecter_factorial(table, int(n)).log_value for n in ns.tolist()]))
+        lower, rhs = perfecter_exponents(nf)
+        # the rhs reported is the upper exponent, the slack the smaller margin
+        slack = np.minimum(lhs - lower, rhs - lhs)
+        holds = (lhs > lower) & (lhs < rhs)
     else:
-        rhs = _rhs(bound, ns.astype(np.float64), c)
-        if bound.lhs in ("upsilon", "mean") and ups is None:
-            ups = np.array([upsilon_value(table, int(n)) for n in ns], dtype=np.int64)
+        rhs = bound.rhs_at(nf, c)
+        if bound.lhs in ("upsilon", "mean"):
+            ups = (cols.upsilon if cols is not None else np.array(
+                [upsilon_value(table, int(n)) for n in ns.tolist()], dtype=np.int64))
         if bound.lhs == "upsilon":
             lhs = ups.astype(np.float64)
         else:
@@ -523,20 +522,16 @@ def _window(table: PrimeTable, bound: Bound, ns: np.ndarray, c: ConstantsTable,
 
 def _exhaustive(table: PrimeTable, bound: Bound, n_from: int, n_to: int,
                 c: ConstantsTable) -> Iterator[Window]:
-    # upsilon(n) = upsilon(n-1) + Omega(n): one direct evaluation at n_from,
-    # then Omega cumsums with the running total carried across windows
-    counted = bound.lhs in ("upsilon", "mean")
-    running = upsilon_value(table, n_from) if counted else 0
-    for lo in range(n_from, n_to + 1, WINDOW):
-        hi = min(lo + WINDOW - 1, n_to)
-        ups = None
-        if counted:
-            omega = omega_window(table, lo, hi)
-            if lo == n_from:
-                omega[0] = 0  # already counted in upsilon(n_from)
-            ups = running + np.cumsum(omega)
-            running = int(ups[-1])
-        yield _window(table, bound, np.arange(lo, hi + 1, dtype=np.int64), c, ups)
+    # theta and pi read the table directly; the other sides walk n! with
+    # factorial_windows, the perfecter column only for the perfecter bound
+    if bound.lhs in ("theta", "pi"):
+        for lo in range(n_from, n_to + 1, WINDOW):
+            yield _window(table, bound, np.arange(lo, min(lo + WINDOW - 1, n_to) + 1,
+                                                  dtype=np.int64), c)
+        return
+    for cols in factorial_windows(table, n_from, n_to, WINDOW,
+                                  perfecter=bound.lhs == "perfecter"):
+        yield _window(table, bound, cols.n, c, cols)
 
 
 def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
@@ -553,16 +548,17 @@ def sweep(table: PrimeTable, theorem_id: str, n_from: int, n_to: int, *,
     """Evaluate one bound over [n_from, n_to], one window at a time.
 
     Exhaustive sweeps walk consecutive windows of WINDOW points; with
-    log_samples the log-spaced points are walked instead, their exponent
-    sums evaluated point by point.  The arguments are checked when this is
+    log_samples the log-spaced points are walked instead, their left-hand
+    sides evaluated point by point.  The arguments are checked when this is
     called, before the first window is computed.
 
     Raises:
-        DomainError: unknown id, empty range, or n_from < 2.
+        DomainError: unknown id, empty range, n_from < 2, or n_from < 4
+            for the perfecter bound.
         OutOfRangeError: n_to beyond the table limit.
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
-    _check_range(table, n_from, n_to)
+    _check_range(table, bound, n_from, n_to)
     c = constants or default_constants()
     if log_samples is None:
         return _exhaustive(table, bound, n_from, n_to, c)
@@ -588,7 +584,7 @@ def evaluate_theorem(table: PrimeTable, theorem_id: str, n: int,
         DomainError / OutOfRangeError: n not evaluable at all.
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
-    _check_range(table, n, n)
+    _check_range(table, bound, n, n)
     window = _window(table, bound, np.array([n], dtype=np.int64),
                      constants or default_constants())
     return _window_reports(bound.id, window)[0]

@@ -20,13 +20,14 @@ import json
 import os
 import sys
 from fractions import Fraction
+from typing import Iterator
 
 import numpy as np
 
 from . import bounds, perfecter, primes
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
+from .upsilon import Columns, factorial_windows
 from .upsilon import upsilon as upsilon_stats
-from .upsilon import upsilon_value
 
 DEFAULT_MAX_SIEVE = 20_000_000
 MAX_SIEVE_ENV = "FACTPRIMES_MAX_SIEVE"
@@ -60,13 +61,18 @@ def _sieve_cap(flag_value: int | None) -> int:
     return DEFAULT_MAX_SIEVE
 
 
-def _build_table(needed: int, max_sieve: int | None) -> primes.PrimeTable:
+def _sieve_limit(needed: int, max_sieve: int | None) -> int:
+    # the sieve cap, checked against the request before any work
     cap = _sieve_cap(max_sieve)
     if needed > cap:
         raise ResourceLimitError(
             f"request needs a sieve up to {needed}, above the cap {cap} "
             f"(raise --max-sieve or {MAX_SIEVE_ENV})")
-    return primes.build_table(max(needed, 2), limit_cap=cap)
+    return cap
+
+
+def _build_table(needed: int, max_sieve: int | None) -> primes.PrimeTable:
+    return primes.build_table(max(needed, 2), limit_cap=_sieve_limit(needed, max_sieve))
 
 
 # ---------------------------------------------------------------- decompose
@@ -226,44 +232,57 @@ def cmd_perfecter(args) -> int:
 SCAN_HEADER = "n,upsilon,pi,mean,t1_rhs,t1_holds,t4_rhs,t4_holds,c3_rhs,c3_holds,perfecter_log"
 
 
-def _scan_row(table, constants, n: int) -> str:
-    ups = upsilon_value(table, n)
-    pin = primes.pi(table, n)
-    mean = ups / pin
-    t1 = bounds.rhs_t1(n, constants)
-    cells = [str(n), str(ups), str(pin), fmt(mean), fmt(t1), fmt(ups < t1)]
-    if n >= 3:
-        t4 = bounds.rhs_t4(n, constants)
-        cells += [fmt(t4), fmt(ups > t4)]
-    else:
-        cells += ["", ""]
-    if n >= bounds.BOUNDS["C3_upper_mean"].start:
-        c3 = bounds.rhs_c3(n, constants)
-        cells += [fmt(c3), fmt(mean < c3)]
-    else:
-        cells += ["", ""]
-    cells.append(fmt(perfecter.perfecter_factorial(table, n).log_value))
-    return ",".join(cells)
+def _scan_columns(table, n_from: int, n_to: int, step: int) -> Iterator[Columns]:
+    """Walker columns at the rows n_from, n_from + step, ... <= n_to.
+
+    Rows a window or more apart are anchored one by one: one anchor costs
+    about as much as walking one window.
+    """
+    if step >= bounds.WINDOW:
+        for n in range(n_from, n_to + 1, step):
+            yield from factorial_windows(table, n, n, 1, perfecter=True)
+        return
+    for cols in factorial_windows(table, n_from, n_to, bounds.WINDOW,
+                                  perfecter=True):
+        rows = (cols.n - n_from) % step == 0
+        yield Columns(*(a[rows] for a in cols))
+
+
+def _scan_lines(table, constants, cols: Columns) -> Iterator[str]:
+    """CSV lines of one window of scan rows, T1/T4/C3 from the registry's
+    numpy right-hand sides."""
+    nf = cols.n.astype(np.float64)
+    pis = np.searchsorted(table.primes, cols.n, side="right")
+    t1, t4, c3 = (bounds.BOUNDS[tid].rhs_at(nf, constants)
+                  for tid in ("T1_upper_upsilon", "T4_lower_upsilon", "C3_upper_mean"))
+    c3_start = bounds.BOUNDS["C3_upper_mean"].start
+    for n, ups, pin, mean, r1, r4, r3, log_s in zip(*(a.tolist() for a in (
+            cols.n, cols.upsilon, pis, cols.upsilon / pis, t1, t4, c3,
+            cols.log_perfecter))):
+        t4_cells = f"{fmt(r4)},{fmt(ups > r4)}" if n >= 3 else ","
+        c3_cells = f"{fmt(r3)},{fmt(mean < r3)}" if n >= c3_start else ","
+        yield (f"{n},{ups},{pin},{fmt(mean)},{fmt(r1)},{fmt(ups < r1)},"
+               f"{t4_cells},{c3_cells},{fmt(log_s)}\n")
 
 
 def cmd_scan(args) -> int:
     if args.n_from < 2 or args.n_from > args.n_to or args.step < 1:
         print("scan needs 2 <= from <= to and step >= 1", file=sys.stderr)
         return EXIT_USAGE
-    table = _build_table(args.n_to, args.max_sieve)
-    constants = bounds.default_constants()
-    rows = [_scan_row(table, constants, n)
-            for n in range(args.n_from, args.n_to + 1, args.step)]
-
+    cap = _sieve_limit(args.n_to, args.max_sieve)
+    rows = 0
     try:
         with open(args.out, "w", newline="") as fh:
+            table = primes.build_table(args.n_to, limit_cap=cap)
+            constants = bounds.default_constants()
             fh.write(SCAN_HEADER + "\n")
-            for row in rows:
-                fh.write(row + "\n")
+            for cols in _scan_columns(table, args.n_from, args.n_to, args.step):
+                fh.writelines(_scan_lines(table, constants, cols))
+                rows += len(cols.n)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    print(f"wrote {len(rows)} rows to {args.out}")
+    print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK
 
 

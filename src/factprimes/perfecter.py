@@ -19,7 +19,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError
-from .primes import PrimeTable, kahan_sum
+from .primes import PrimeTable, _at
 from .report import MARGINAL_SLACK, BoundReport
 from .valuation import is_prime, valuation_vector
 
@@ -98,10 +98,27 @@ def squarefree_kernel(factored: Sequence[tuple[int, int]]) -> list[int]:
     return sorted(odd)
 
 
-def _odd_exponent_primes(table: PrimeTable, n: int) -> np.ndarray:
-    v = valuation_vector(table, n)
-    ps = table.primes_up_to(n)
-    return ps[(v & 1) == 1]
+def _odd_exponent_primes(table: PrimeTable, n: int,
+                         v: np.ndarray | None = None) -> np.ndarray:
+    # primes p <= n with v_p(n!) odd; v is valuation_vector(table, n) when
+    # the caller already holds it
+    if v is None:
+        v = valuation_vector(table, n)
+    return table.primes_up_to(n)[(v & 1) == 1]
+
+
+def _log_sum(ps: np.ndarray) -> float:
+    # exactly rounded, so equal to the sweep's limb sums (primes.log_limbs)
+    return math.fsum(np.log(ps.astype(np.float64)))
+
+
+def perfecter_exponents(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper exponents of the two-sided perfecter bound,
+    n/2 - (793/200) n (1/log n + 1/(2 log(n/2))) and n + (793/200) n / log n,
+    elementwise over a float64 array of n >= 4."""
+    lg = np.log(n)
+    return (n / 2 - _DEV_COEFF * n * (1 / lg + 1 / (2 * np.log(n / 2))),
+            n + _DEV_COEFF * n / lg)
 
 
 def perfecter_factorial(table: PrimeTable, n: int, *,
@@ -109,22 +126,23 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
                         ) -> PerfecterResult:
     """Minimal m with m * n! a perfect square, for n >= 1.
 
-    log_value is the compensated log-sum over the odd-exponent primes in
-    ascending order; the exact product is materialized only while it fits
-    in exact_max_bits.
+    log_value is the exactly rounded log-sum over the odd-exponent primes;
+    the exact product is materialized only while it fits in exact_max_bits.
 
     Raises:
-        DomainError: n < 1.
+        DomainError: n < 1 or exact_max_bits < 0.
         OutOfRangeError: n beyond the table limit.
     """
     if n < 1:
         raise DomainError(f"perfecter needs n >= 1, got {n}")
+    if exact_max_bits < 0:
+        raise DomainError(f"exact_max_bits must be >= 0, got {exact_max_bits}")
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
     if n == 1:
         return PerfecterResult(n=1, odd_primes=[], log_value=0.0, exact_value=1)
     odd = _odd_exponent_primes(table, n)
-    log_value = kahan_sum(np.log(odd.astype(np.float64)))
+    log_value = _log_sum(odd)
     # bit length of the product is log_value/log 2 up to rounding
     if log_value / math.log(2) <= exact_max_bits:
         exact: int | None = 1
@@ -153,9 +171,9 @@ def theta_classed(table: PrimeTable, n: int, q: int) -> ThetaClassed:
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
     v = valuation_vector(table, n)
-    ps = table.primes_up_to(n).astype(np.float64)
+    ps = table.primes_up_to(n)
     residues = v % q
-    values = [kahan_sum(np.log(ps[residues == a])) for a in range(q)]
+    values = [_log_sum(ps[residues == a]) for a in range(q)]
     return ThetaClassed(n=n, q=q, values=values)
 
 
@@ -172,9 +190,7 @@ def perfecter_bounds(table: PrimeTable, n: int) -> tuple[BoundReport, BoundRepor
     if n < 4:
         raise DomainError(f"perfecter bounds need n >= 4, got {n}")
     log_s = perfecter_factorial(table, n).log_value
-    lg = math.log(n)
-    lower = n / 2 - _DEV_COEFF * n * (1 / lg + 1 / (2 * math.log(n / 2)))
-    upper = n + _DEV_COEFF * n / lg
+    lower, upper = _at(perfecter_exponents, n)
     rep_lo = BoundReport("S32_lower", n, log_s, lower, log_s - lower,
                          log_s > lower, marginal=abs(log_s - lower) < MARGINAL_SLACK)
     rep_hi = BoundReport("S32_upper", n, log_s, upper, upper - log_s,
@@ -200,8 +216,8 @@ def bertrand_equivalence(table: PrimeTable, n: int) -> BertrandCheck:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
     v = valuation_vector(table, n)
     ps = table.primes_up_to(n)
-    odd = ps[(v & 1) == 1]
-    log_perfecter = kahan_sum(np.log(odd.astype(np.float64)))
+    odd = _odd_exponent_primes(table, n, v)
+    log_perfecter = _log_sum(odd)
     exceeds_one = len(odd) > 0
 
     # primes strictly above n/2 (real division; n/2 itself is excluded)
@@ -212,7 +228,7 @@ def bertrand_equivalence(table: PrimeTable, n: int) -> BertrandCheck:
     if n >= 4:
         singles = ps[v == 1]
         singleton_match = bool(np.array_equal(singles, block))
-        theta_gap = kahan_sum(np.log(block.astype(np.float64)))
+        theta_gap = _log_sum(block)
     else:
         singleton_match = None
         theta_gap = None

@@ -5,10 +5,9 @@ afterwards, so it can be shared freely across threads and workers.  All
 queries (``pi``, ``theta``, ``nth_prime``, the deviation checks) answer from
 the precomputed arrays; no primality testing happens after construction.
 
-``theta`` values come from a compensated (Kahan) prefix sum over the prime
-logarithms, which keeps consecutive prefix differences within a few ulps of
-the individual ``log p`` terms even for tables with hundreds of thousands
-of primes.
+``theta`` values come from an exact prefix sum over the prime logarithms:
+every prefix is the correctly rounded sum of its ``log p`` terms, as
+``math.fsum`` would return it (see :func:`log_limbs`).
 """
 
 from __future__ import annotations
@@ -54,16 +53,50 @@ def kahan_sum(values: np.ndarray) -> float:
     return s
 
 
+# Exact sums of prime logarithms.  Every float64 log p with p >= 2 lies in
+# [2^-1, 2^5), so it is an integer multiple of 2^-53 and k = log p * 2^53 is
+# an exact integer below 2^58.  Split as k = a * 2^32 + b with 0 <= a < 2^26
+# and 0 <= b < 2^32, the two limbs add up exactly in int64: the sieve cap
+# 2e8 admits fewer than 2^24 primes, so a limb sum over any set of them stays
+# below 2^50 and 2^56.  Rounding once at the end, as limb_prefix does, gives
+# the correctly rounded sum, which is math.fsum's result bit for bit.
+_LOG_SCALE = 53
+_LIMB_BITS = 32
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+_PREFIX_BLOCK = 1 << 16
+
+
+def log_limbs(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The high and low int64 limbs of logs * 2^53, for float64 logs of
+    integers >= 2."""
+    k = np.ldexp(logs, _LOG_SCALE).astype(np.int64)
+    return k >> _LIMB_BITS, k & _LIMB_MASK
+
+
+def limb_prefix(high: np.ndarray, low: np.ndarray, start: tuple[int, int] = (0, 0)
+                ) -> tuple[np.ndarray, tuple[int, int]]:
+    """Correctly rounded prefix sums of a run of (high, low) limbs, added to
+    the limb totals start, and the new totals to continue from."""
+    high = start[0] + np.cumsum(high)
+    low = start[1] + np.cumsum(low)
+    totals = (int(high[-1]), int(low[-1]))
+    high += low >> _LIMB_BITS
+    low &= _LIMB_MASK
+    exact = high * float(1 << _LIMB_BITS) + low  # exact, then one rounding
+    return np.ldexp(exact, -_LOG_SCALE), totals
+
+
 def _kahan_prefix(values: np.ndarray) -> np.ndarray:
+    """Prefix sums of prime logarithms, each one correctly rounded.
+
+    Limb cumsums instead of a running float total, so ``out[i]`` equals
+    ``math.fsum(values[:i + 1])``.  Blocks keep the int64 temporaries small.
+    """
     out = np.empty(len(values), dtype=np.float64)
-    s = 0.0
-    c = 0.0
-    for i, v in enumerate(values.tolist()):
-        y = v - c
-        t = s + y
-        c = (t - s) - y
-        s = t
-        out[i] = s
+    totals = (0, 0)
+    for i in range(0, len(values), _PREFIX_BLOCK):
+        out[i:i + _PREFIX_BLOCK], totals = limb_prefix(
+            *log_limbs(values[i:i + _PREFIX_BLOCK]), totals)
     return out
 
 

@@ -10,7 +10,9 @@ The range scanner exploits the identity
 (every prime factor of n is <= n, so appending the factor multiset of n is
 exactly what moves the decomposition of (n-1)! to that of n!).  That turns
 an exhaustive scan over [a, b] into one direct evaluation plus a segmented
-factor count over the window.
+factor count over the window.  The same factor pass carries the set of
+primes with an odd exponent in n!, whose log-sum is the log of the minimal
+square perfecter (see factorial_windows).
 """
 
 from __future__ import annotations
@@ -18,11 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, FactprimesError, OutOfRangeError
-from .primes import PrimeTable, nth_prime, pi
+from .perfecter import _odd_exponent_primes
+from .primes import PrimeTable, limb_prefix, log_limbs, nth_prime, pi
 from .special_functions import lambert_w
 from .valuation import valuation_vector
 
@@ -106,6 +110,63 @@ def upsilon_asymptotic_gap(table: PrimeTable, n: int) -> float:
     return (ups - n * math.log(math.log(n))) / n
 
 
+def _factor_pass(table: PrimeTable, lo: int, hi: int, root: int,
+                 odd: np.ndarray | None = None,
+                 limbs: tuple[np.ndarray, np.ndarray] | None = None):
+    """Omega(m) for every m in [lo, hi], by strided slices over the primes
+    p <= root (root >= isqrt(hi)); whatever is left of m after dividing those
+    out is 1 or one prime q > root, with exponent 1.
+
+    With odd (the parities of v_p((lo-1)!) for the primes <= root, updated
+    in place to those of hi!) and limbs (their log limbs), also returns the
+    signed log-limb changes of the odd-exponent set from m-1 to m: the
+    parity of v_p(m!) flips exactly for the primes dividing m to an odd
+    power, and for q > root, v_q(m!) = m // q.
+    """
+    size = hi - lo + 1
+    counts = np.zeros(size, dtype=np.int64)
+    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    if odd is not None:
+        d_high = np.zeros(size, dtype=np.int64)
+        d_low = np.zeros(size, dtype=np.int64)
+    for i, p in enumerate(table.primes_up_to(root).tolist()):
+        start = -lo % p
+        if start >= size:
+            continue
+        counts[start::p] += 1
+        rem[start::p] //= p
+        # e[j] = v_p(m) for the j-th multiple m of p in the window
+        e = None if odd is None else np.ones((size - 1 - start) // p + 1, dtype=np.int64)
+        pk = p * p
+        while pk <= hi:
+            off = -lo % pk
+            if off < size:
+                counts[off::pk] += 1
+                rem[off::pk] //= p
+                if e is not None:
+                    e[(off - start) // p::pk // p] += 1
+            pk *= p
+        if e is not None:
+            state = np.cumsum(e)
+            state += odd[i]
+            state &= 1
+            sign = (e & 1) * (2 * state - 1)  # +1 joins the set, -1 leaves it
+            d_high[start::p] += sign * limbs[0][i]
+            d_low[start::p] += sign * limbs[1][i]
+            odd[i] = state[-1]
+    left = rem > 1
+    counts += left
+    if odd is None:
+        return counts, None
+    big = np.flatnonzero(left)
+    q = rem[big]
+    sign = 2 * ((big + lo) // q & 1) - 1
+    high, low = log_limbs(np.log(q.astype(np.float64)))
+    d_high[big] += sign * high
+    d_low[big] += sign * low
+    return counts, (d_high, d_low)
+
+
 def omega_window(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     """Omega(m) (prime factors with multiplicity) for every m in [lo, hi].
 
@@ -123,46 +184,79 @@ def omega_window(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     if root > table.limit:
         raise OutOfRangeError(
             f"window up to {hi} needs primes to {root}, table stops at {table.limit}")
-    size = hi - lo + 1
-    counts = np.zeros(size, dtype=np.int64)
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
-    for p in table.primes_up_to(root):
-        p = int(p)
-        pk = p
-        while pk <= hi:
-            start = ((lo + pk - 1) // pk) * pk
-            if start <= hi:
-                counts[start - lo::pk] += 1
-                rem[start - lo::pk] //= p
-            if pk > hi // p:
-                break
-            pk *= p
-    counts += rem > 1
-    return counts
+    return _factor_pass(table, lo, hi, root)[0]
 
 
-def upsilon_range(table: PrimeTable, n_from: int, n_to: int
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(n, upsilon(n), pi(n)) arrays for every n in [n_from, n_to].
+class Columns(NamedTuple):
+    """Exact left-hand sides at ascending n: the exponent sum of n! and,
+    when asked for, the log of its minimal square perfecter."""
 
-    One direct evaluation at n_from, then the Omega recurrence across the
-    window; all exact int64.
+    n: np.ndarray
+    upsilon: np.ndarray
+    log_perfecter: np.ndarray | None
+
+
+def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
+                      *, perfecter: bool = False) -> Iterator[Columns]:
+    """Columns for every n in [n_from, n_to], in windows of window points.
+
+    Anchored once at n_from - 1 with one valuation_vector; from there
+    upsilon(n) = upsilon(n-1) + Omega(n), and the odd-exponent set of n!
+    changes from that of (n-1)! in the primes dividing n to an odd power.
+    Both come from one strided factor pass per window.  With perfecter the
+    log-sum over the odd-exponent set is carried in exact limbs (see
+    primes.log_limbs), so every value is math.fsum over the same logs, bit
+    for bit.  The arguments are checked when this is called.
 
     Raises:
-        DomainError: n_from < 2 or empty range.
+        DomainError: n_from < 2 or an empty range.
         OutOfRangeError: n_to beyond the table limit.
     """
     if n_from < 2 or n_from > n_to:
         raise DomainError(f"bad range [{n_from}, {n_to}]")
     if n_to > table.limit:
         raise OutOfRangeError(f"n_to={n_to} exceeds table limit {table.limit}")
-    ns = np.arange(n_from, n_to + 1, dtype=np.int64)
-    ups = np.empty(len(ns), dtype=np.int64)
-    ups[0] = upsilon_value(table, n_from)
-    if n_to > n_from:
-        ups[1:] = ups[0] + np.cumsum(omega_window(table, n_from + 1, n_to))
-    pis = np.searchsorted(table.primes, ns, side="right").astype(np.int64)
-    return ns, ups, pis
+    return _walk(table, n_from, n_to, window, perfecter)
+
+
+def _walk(table, n_from, n_to, window, perfecter):
+    root = math.isqrt(n_to)
+    anchor = n_from - 1
+    v = valuation_vector(table, anchor) if anchor >= 2 else np.zeros(0, np.int64)
+    ups_run = int(v.sum())
+    odd = limbs = None
+    if perfecter:
+        small = table.primes_up_to(root)
+        odd = np.zeros(len(small), dtype=np.int64)
+        odd[:min(len(v), len(small))] = v[:len(small)] & 1
+        limbs = log_limbs(np.log(small.astype(np.float64)))
+        high, low = log_limbs(np.log(
+            _odd_exponent_primes(table, anchor, v).astype(np.float64)))
+        totals = (int(high.sum()), int(low.sum()))
+    for lo in range(n_from, n_to + 1, window):
+        hi = min(lo + window - 1, n_to)
+        omega, deltas = _factor_pass(table, lo, hi, root, odd, limbs)
+        ups = ups_run + np.cumsum(omega)
+        ups_run = int(ups[-1])
+        logs = None
+        if perfecter:
+            logs, totals = limb_prefix(*deltas, totals)
+        yield Columns(np.arange(lo, hi + 1, dtype=np.int64), ups, logs)
+
+
+def upsilon_range(table: PrimeTable, n_from: int, n_to: int
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(n, upsilon(n), pi(n)) arrays for every n in [n_from, n_to].
+
+    One factorial_windows window over the whole range; all exact int64.
+
+    Raises:
+        DomainError: n_from < 2 or empty range.
+        OutOfRangeError: n_to beyond the table limit.
+    """
+    (cols,) = factorial_windows(table, n_from, n_to, n_to - n_from + 1)
+    pis = np.searchsorted(table.primes, cols.n, side="right").astype(np.int64)
+    return cols.n, cols.upsilon, pis
 
 
 def mean_location(table: PrimeTable, n: int) -> MeanLocation:

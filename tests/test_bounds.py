@@ -331,6 +331,13 @@ class TestSweepEngine:
         with pytest.raises(DomainError):
             evaluate_theorem(table_small, tid, 1)
 
+    def test_perfecter_bound_starts_at_4(self, table_small):
+        for lo in (2, 3):
+            with pytest.raises(DomainError):
+                sweep(table_small, "S32", lo, 100)
+            with pytest.raises(DomainError):
+                evaluate_theorem(table_small, "S32", lo)
+
     def test_range_beyond_table(self, table_small):
         with pytest.raises(OutOfRangeError):
             sweep(table_small, "TB2", 2, table_small.limit + 1)

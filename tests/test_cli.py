@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from factprimes import build_table, evaluate_theorem
+from factprimes import (bounds, build_table, evaluate_theorem,
+                        perfecter_factorial, pi, primes, upsilon_value)
+from factprimes.bounds import rhs_c3, rhs_t1, rhs_t4
 from factprimes.cli import CSV_HEADER, SCAN_HEADER, fmt, main
 
 
@@ -182,6 +184,35 @@ class TestPerfecter:
         code, _, _ = run(capsys, "perfecter", "0")
         assert code == 2
 
+    def test_negative_bit_cap_rejected(self, capsys):
+        code, out, err = run(capsys, "perfecter", "100", "--exact-max-bits", "-5")
+        assert code == 2
+        assert out == "" and "exact_max_bits" in err
+
+
+def reference_scan(table, n_from, n_to, step):
+    """Scan rows rendered point by point from the pointwise functions."""
+    lines = [SCAN_HEADER]
+    for n in range(n_from, n_to + 1, step):
+        ups = upsilon_value(table, n)
+        pin = pi(table, n)
+        mean = ups / pin
+        t1 = rhs_t1(n)
+        cells = [str(n), str(ups), str(pin), fmt(mean), fmt(t1), fmt(ups < t1)]
+        if n >= 3:
+            t4 = rhs_t4(n)
+            cells += [fmt(t4), fmt(ups > t4)]
+        else:
+            cells += ["", ""]
+        if n >= 12_602_987:
+            c3 = rhs_c3(n)
+            cells += [fmt(c3), fmt(mean < c3)]
+        else:
+            cells += ["", ""]
+        cells.append(fmt(perfecter_factorial(table, n).log_value))
+        lines.append(",".join(cells))
+    return "\n".join(lines) + "\n"
+
 
 class TestScan:
     def test_row_contents(self, capsys, tmp_path):
@@ -210,6 +241,41 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--from", "10", "--to", "20",
                            "--out", str(tmp_path / "no_dir" / "x.csv"))
         assert code == 3
+
+    def test_unwritable_target_fails_before_sieving(self, capsys, tmp_path, monkeypatch):
+        sieved = []
+        monkeypatch.setattr(primes, "build_table", lambda *a, **k: sieved.append(a))
+        code, _, _ = run(capsys, "scan", "--from", "2", "--to", "3000000",
+                         "--out", str(tmp_path / "no_dir" / "x.csv"))
+        assert code == 3 and sieved == []
+
+    @pytest.mark.parametrize("n_from,n_to,step", [(2, 3000, 1), (1000, 1500, 7)])
+    def test_rows_match_pointwise(self, capsys, tmp_path, table_small, n_from, n_to, step):
+        out = tmp_path / "scan.csv"
+        code, stdout, _ = run(capsys, "scan", "--from", str(n_from), "--to", str(n_to),
+                              "--step", str(step), "--out", str(out))
+        assert code == 0
+        assert out.read_text() == reference_scan(table_small, n_from, n_to, step)
+        assert stdout == f"wrote {len(range(n_from, n_to + 1, step))} rows to {out}\n"
+
+    @pytest.mark.parametrize("step", [7, 96, 97, 250])
+    def test_rows_across_short_windows(self, capsys, tmp_path, table_small,
+                                       monkeypatch, step):
+        # steps below WINDOW filter walked windows; steps of a whole window
+        # or more anchor every row
+        monkeypatch.setattr(bounds, "WINDOW", 97)
+        out = tmp_path / "scan.csv"
+        code, _, _ = run(capsys, "scan", "--from", "1001", "--to", "3000",
+                         "--step", str(step), "--out", str(out))
+        assert code == 0
+        assert out.read_text() == reference_scan(table_small, 1001, 3000, step)
+
+    def test_corollary_columns(self, capsys, tmp_path, table_big):
+        out = tmp_path / "scan.csv"
+        code, _, _ = run(capsys, "scan", "--from", "12602980", "--to", "12603000",
+                         "--step", "3", "--out", str(out))
+        assert code == 0
+        assert out.read_text() == reference_scan(table_big, 12_602_980, 12_603_000, 3)
 
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "scan", "--from", "1", "--to", "10",

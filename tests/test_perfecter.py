@@ -1,12 +1,16 @@
 import math
+from collections import Counter
+from functools import lru_cache
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factprimes import (DomainError, bertrand_equivalence, perfecter_bounds,
-                        perfecter_factorial, squarefree_kernel, theta,
-                        theta_classed)
+from factprimes import (DomainError, bertrand_equivalence, bounds,
+                        perfecter_bounds, perfecter_factorial,
+                        squarefree_kernel, theta, theta_classed)
+from factprimes.upsilon import factorial_windows
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -97,6 +101,65 @@ class TestThetaClassed:
 
     def test_vector_length(self, table_small):
         assert len(theta_classed(table_small, 100, 7).values) == 7
+
+
+class TestNegativeBitCap:
+    def test_rejected(self, table_small):
+        with pytest.raises(DomainError):
+            perfecter_factorial(table_small, 10, exact_max_bits=-5)
+        assert perfecter_factorial(table_small, 10, exact_max_bits=0).exact_value is None
+
+
+SWEEP_TO = 20_000
+
+
+@pytest.fixture(scope="module")
+def pointwise_logs(table_big):
+    """perfecter_factorial(n).log_value for n in [2, SWEEP_TO], indexed by n."""
+    logs = [None, None]
+    for n in range(2, SWEEP_TO + 1):
+        res = perfecter_factorial(table_big, n)
+        odd = np.array(res.odd_primes, dtype=np.float64)
+        assert res.log_value == math.fsum(np.log(odd).tolist()), n
+        logs.append(res.log_value)
+    return logs
+
+
+@lru_cache(maxsize=None)
+def _factorint(k):
+    sympy = pytest.importorskip("sympy")
+    return sympy.factorint(k)
+
+
+class TestPerfecterSweep:
+    def test_walker_matches_pointwise_every_n(self, table_big, pointwise_logs):
+        walked = [x for cols in factorial_windows(table_big, 2, SWEEP_TO, bounds.WINDOW,
+                                                   perfecter=True)
+                  for x in cols.log_perfecter.tolist()]
+        assert walked == pointwise_logs[2:]
+
+    def test_short_unaligned_windows(self, table_big, pointwise_logs, monkeypatch):
+        # the S32 sweep restarts at an arbitrary n and carries the set
+        # across many short windows
+        monkeypatch.setattr(bounds, "WINDOW", 97)
+        lo = 1234
+        windows = list(bounds.sweep(table_big, "S32", lo, SWEEP_TO))
+        assert [len(w.n) for w in windows[:-1]] == [97] * (len(windows) - 1)
+        walked = [x for w in windows for x in w.lhs.tolist()]
+        assert walked == pointwise_logs[lo:]
+
+    @given(st.integers(2, 3000), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_odd_set_matches_factorint(self, table_small, n, data):
+        exponents = Counter()
+        for k in range(2, n + 1):
+            exponents.update(_factorint(k))
+        odd = sorted(p for p, e in exponents.items() if e % 2)
+        assert perfecter_factorial(table_small, n).odd_primes == odd
+        lo = data.draw(st.integers(2, n), label="lo")
+        *_, last = factorial_windows(table_small, lo, n, 97, perfecter=True)
+        fingerprint = math.fsum(np.log(np.array(odd, dtype=np.float64)).tolist())
+        assert last.log_perfecter[-1] == fingerprint
 
 
 class TestPerfecterBounds:

@@ -6,6 +6,11 @@ import pytest
 from factprimes import (DomainError, OutOfRangeError, ResourceLimitError,
                         build_table, check_dusart_pi, check_dusart_theta,
                         nth_prime, pi, primes, theta, theta_classed)
+from factprimes.primes import limb_prefix, log_limbs
+
+
+def limb_sum(logs):
+    return float(limb_prefix(*log_limbs(logs))[0][-1])
 
 
 def trial_primes(limit):
@@ -40,6 +45,36 @@ class TestBuildTable:
         tol = 4 * eps * table_small.log_prefix[1:] + 1e-15
         assert np.all(np.abs(diffs - logs) <= tol)
         assert np.all(diffs > 0)
+
+
+    def test_log_prefix_is_exactly_rounded(self, table_small):
+        logs = np.log(table_small.primes.astype(np.float64)).tolist()
+        assert table_small.log_prefix.tolist() == [
+            math.fsum(logs[:i + 1]) for i in range(len(logs))]
+
+
+class TestExactLogSums:
+    def test_limb_sum_at_the_sieve_cap(self):
+        logs = np.full(2_000_000, math.log(2e8))
+        assert limb_sum(logs) == math.fsum(logs.tolist())
+
+    def test_limb_sum_of_random_prime_logs(self, table_big):
+        rng = np.random.default_rng(20_240_517)
+        logs = np.log(table_big.primes.astype(np.float64))
+        for size in (1, 2, 17, 1000, 100_000, len(logs)):
+            pick = logs[rng.choice(len(logs), size, replace=False)]
+            assert limb_sum(pick) == math.fsum(pick.tolist()), size
+
+    def test_prefix_carries_across_blocks(self, table_big):
+        logs = np.log(table_big.primes.astype(np.float64)).tolist()
+        block = primes._PREFIX_BLOCK
+        for i in (block - 1, block, 2 * block, 5 * block + 7, len(logs) - 1):
+            assert table_big.log_prefix[i] == math.fsum(logs[:i + 1]), i
+
+    def test_limbs_are_exact(self, table_small):
+        logs = np.log(table_small.primes.astype(np.float64))
+        high, low = log_limbs(logs)
+        assert np.array_equal(np.ldexp(high * 2.0**32 + low, -53), logs)
 
 
 class TestQueries:
