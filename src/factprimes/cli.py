@@ -3,9 +3,12 @@
 Commands: decompose, verify, constants, perfecter, scan.  All numeric
 output is rendered with fixed 12-significant-digit formatting and '.' as
 the decimal point, so identical invocations produce byte-identical output
-regardless of locale or platform.  --jobs is accepted for compatibility
-and has no effect: threads measured no gain for verify and a slowdown for
-scan.
+regardless of locale or platform.  Per-n rows (verify --out, scan,
+decompose) go through one row writer: ROW_SLICE rows at a time become
+Python values and are rendered with one %-template per row, ints as %d and
+floats as %.12g, which is fmt byte for byte; scalar lines use fmt.
+--jobs is accepted for compatibility and has no effect: threads measured
+no gain for verify and a slowdown for scan.
 
 Exit codes: 0 success / all checks hold, 1 a verified inequality failed or
 a constant missed its tolerance, 2 bad arguments, 3 resource limits or
@@ -20,7 +23,8 @@ import json
 import os
 import sys
 from fractions import Fraction
-from typing import Iterator
+from itertools import pairwise
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -47,6 +51,33 @@ def fmt(x) -> str:
     if isinstance(x, Fraction):
         x = float(x)
     return f"{float(x):.12g}"
+
+
+# Rows turned into Python values at a time: the writer's memory is
+# O(ROW_SLICE), whatever the length of the columns it is given.  Larger
+# slices format no faster and hold more text at once.
+ROW_SLICE = 1024
+
+# bool cells by index, as fmt renders them
+_BOOL = np.array([fmt(False), fmt(True)], dtype=object)
+
+
+def _bool_cells(mask: np.ndarray) -> np.ndarray:
+    return _BOOL[mask.astype(np.intp)]
+
+
+def _write_rows(fh, template: str, columns: Sequence[np.ndarray]) -> None:
+    """Write template % row for every row of the aligned numpy columns.
+
+    Int columns go to %d, float columns to %.12g (for Python floats that is
+    fmt byte for byte, inf, nan and -0.0 included) and string columns,
+    prerendered cells, to %s.  Each slice of ROW_SLICE rows is converted
+    with .tolist() once and written with one write call (an unbuffered
+    stdout turns every write into a system call).
+    """
+    for lo in range(0, len(columns[0]), ROW_SLICE):
+        fh.write("".join(map(template.__mod__, zip(
+            *(c[lo:lo + ROW_SLICE].tolist() for c in columns)))))
 
 
 def _sieve_cap(flag_value: int | None) -> int:
@@ -85,26 +116,22 @@ def cmd_decompose(args) -> int:
     from .valuation import full_decomposition
     profile = full_decomposition(table, args.n)
     res = upsilon_stats(table, args.n)
+    ps, vs, out = profile.primes, profile.exponents, sys.stdout
 
     if args.format == "json":
-        obj = {
-            "n": args.n,
-            "factors": [[p, v] for p, v in profile],
-            "upsilon": res.upsilon,
-            "mean": float(fmt(res.mean)),
-        }
-        print(json.dumps(obj, separators=(",", ":")))
+        # json.dumps(..., separators=(",", ":")) of {n, factors, upsilon, mean}
+        out.write('{"n":%d,"factors":[' % args.n)
+        _write_rows(out, "[%d,%d],", (ps[:-1], vs[:-1]))
+        out.write('[%d,%d]],"upsilon":%d,"mean":%s}\n' % (
+            ps[-1], vs[-1], res.upsilon, json.dumps(float(fmt(res.mean)))))
     elif args.format == "csv":
-        print("p,v")
-        for p, v in profile:
-            print(f"{p},{v}")
+        out.write("p,v\n")
+        _write_rows(out, "%d,%d\n", (ps, vs))
         print(f"# upsilon={res.upsilon}")
         print(f"# mean={fmt(res.mean)}")
     else:
-        width = len(str(profile.entries()[-1][0]))
-        print(f"{args.n}! = product of:")
-        for p, v in profile:
-            print(f"  {p:>{width}} ^ {v}")
+        out.write(f"{args.n}! = product of:\n")
+        _write_rows(out, f"  %{len(str(ps[-1]))}d ^ %d\n", (ps, vs))
         print(f"upsilon({args.n}) = {res.upsilon}")
         print(f"mean exponent = {res.mean_exact.numerator}/{res.mean_exact.denominator}"
               f" = {fmt(res.mean)}")
@@ -118,17 +145,19 @@ MAX_SHOWN = 20
 
 CSV_HEADER = "theorem_id,n,lhs,rhs,slack,holds,applicable,marginal"
 
+# the holds,applicable,marginal cells, indexed by 4*holds + 2*applicable + marginal
+_FLAGS = np.array([f"{fmt(bool(c & 4))},{fmt(bool(c & 2))},{fmt(bool(c & 1))}"
+                   for c in range(8)], dtype=object)
+
 
 def _stream(tid, windows, fh, shown):
     """Pass sweep windows through, writing each point's CSV row to fh (when
     given) and keeping the first MAX_SHOWN violations in shown."""
+    template = tid + ",%d,%.12g,%.12g,%.12g,%s\n"
     for w in windows:
         if fh is not None:
-            fh.writelines(
-                f"{tid},{fmt(n)},{fmt(lhs)},{fmt(rhs)},{fmt(slack)},{fmt(holds)},"
-                f"{fmt(applicable)},{fmt(marginal)}\n"
-                for n, lhs, rhs, slack, holds, applicable, marginal
-                in zip(*(a.tolist() for a in w)))
+            flags = _FLAGS[4 * w.holds + 2 * w.applicable + w.marginal]
+            _write_rows(fh, template, (w.n, w.lhs, w.rhs, w.slack, flags))
         bad = np.flatnonzero(w.applicable & ~w.holds)[:MAX_SHOWN - len(shown)]
         shown += zip(*(a[bad].tolist() for a in (w.n, w.lhs, w.rhs, w.slack)))
         yield w
@@ -180,8 +209,11 @@ def cmd_verify(args) -> int:
 def cmd_constants(args) -> int:
     table = bounds.compute_constants()
     names = list(table.entries)
-    if args.only:
+    if args.only is not None:
         wanted = [w.strip() for w in args.only.split(",") if w.strip()]
+        if not wanted:
+            print(f"--only names no constant: {args.only!r}", file=sys.stderr)
+            return EXIT_USAGE
         unknown = [w for w in wanted if w not in table.entries]
         if unknown:
             print(f"unknown constant name(s): {', '.join(unknown)}", file=sys.stderr)
@@ -221,9 +253,12 @@ def cmd_perfecter(args) -> int:
         print(f"  exact value suppressed (over {args.exact_max_bits} bits; "
               "raise --exact-max-bits)")
     if args.n >= 4:
-        lo, hi = perfecter.perfecter_bounds(table, args.n)
-        print(f"  lower bound exponent {fmt(lo.rhs)} < log value: {fmt(lo.holds)}")
-        print(f"  upper bound exponent {fmt(hi.rhs)} > log value: {fmt(hi.holds)}")
+        # perfecter_bounds' comparisons, on the log value already computed
+        lower, upper = primes._at(perfecter.perfecter_exponents, args.n)
+        print(f"  lower bound exponent {fmt(lower)} < log value: "
+              f"{fmt(res.log_value > lower)}")
+        print(f"  upper bound exponent {fmt(upper)} > log value: "
+              f"{fmt(res.log_value < upper)}")
     return EXIT_OK
 
 
@@ -248,21 +283,27 @@ def _scan_columns(table, n_from: int, n_to: int, step: int) -> Iterator[Columns]
         yield Columns(*(a[rows] for a in cols))
 
 
-def _scan_lines(table, constants, cols: Columns) -> Iterator[str]:
-    """CSV lines of one window of scan rows, T1/T4/C3 from the registry's
-    numpy right-hand sides."""
+def _scan_rows(fh, table, constants, cols: Columns) -> None:
+    """Write one window of scan rows, T1/T4/C3 from the registry's numpy
+    right-hand sides.  The T4 cells are empty below n = 3 and the C3 cells
+    below C3's start, so the ascending rows split into at most three runs,
+    one template each."""
+    ups = cols.upsilon
     nf = cols.n.astype(np.float64)
     pis = np.searchsorted(table.primes, cols.n, side="right")
+    mean = ups / pis
     t1, t4, c3 = (bounds.BOUNDS[tid].rhs_at(nf, constants)
                   for tid in ("T1_upper_upsilon", "T4_lower_upsilon", "C3_upper_mean"))
-    c3_start = bounds.BOUNDS["C3_upper_mean"].start
-    for n, ups, pin, mean, r1, r4, r3, log_s in zip(*(a.tolist() for a in (
-            cols.n, cols.upsilon, pis, cols.upsilon / pis, t1, t4, c3,
-            cols.log_perfecter))):
-        t4_cells = f"{fmt(r4)},{fmt(ups > r4)}" if n >= 3 else ","
-        c3_cells = f"{fmt(r3)},{fmt(mean < r3)}" if n >= c3_start else ","
-        yield (f"{n},{ups},{pin},{fmt(mean)},{fmt(r1)},{fmt(ups < r1)},"
-               f"{t4_cells},{c3_cells},{fmt(log_s)}\n")
+    # upsilon < 2^53, so comparing it with the rhs in float64 is exact
+    head = (cols.n, ups, pis, mean, t1, _bool_cells(ups < t1))
+    t4_cells = (t4, _bool_cells(ups > t4))
+    c3_cells = (c3, _bool_cells(mean < c3))
+    runs = ((",,,,", ()), ("%.12g,%s,,,", t4_cells),
+            ("%.12g,%s,%.12g,%s,", t4_cells + c3_cells))
+    cuts = np.searchsorted(cols.n, [3, bounds.BOUNDS["C3_upper_mean"].start]).tolist()
+    for (a, b), (cells, extra) in zip(pairwise([0, *cuts, len(cols.n)]), runs):
+        _write_rows(fh, "%d,%d,%d,%.12g,%.12g,%s," + cells + "%.12g\n",
+                    [c[a:b] for c in (*head, *extra, cols.log_perfecter)])
 
 
 def cmd_scan(args) -> int:
@@ -277,7 +318,7 @@ def cmd_scan(args) -> int:
             constants = bounds.default_constants()
             fh.write(SCAN_HEADER + "\n")
             for cols in _scan_columns(table, args.n_from, args.n_to, args.step):
-                fh.writelines(_scan_lines(table, constants, cols))
+                _scan_rows(fh, table, constants, cols)
                 rows += len(cols.n)
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)

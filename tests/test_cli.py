@@ -1,9 +1,20 @@
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
-from factprimes import (bounds, build_table, evaluate_theorem,
+import factprimes
+from factprimes import (bounds, build_table, cli, evaluate_theorem,
+                        full_decomposition, perfecter_bounds,
                         perfecter_factorial, pi, primes, upsilon_value)
+from factprimes import perfecter as perfecter_module
+from factprimes import upsilon as upsilon_stats
 from factprimes.bounds import rhs_c3, rhs_t1, rhs_t4
 from factprimes.cli import CSV_HEADER, SCAN_HEADER, fmt, main
 
@@ -51,6 +62,44 @@ class TestDecompose:
         with pytest.raises(SystemExit) as exc:
             main(["decompose", "ten"])
         assert exc.value.code == 2
+
+    @pytest.mark.parametrize("n", [2, 17, 1009])
+    @pytest.mark.parametrize("form", ["csv", "text", "json"])
+    def test_rows_across_slices(self, capsys, monkeypatch, table_small, n, form):
+        # 1, 7 and 169 primes: one short slice, one full slice, 24 full and one short
+        monkeypatch.setattr(cli, "ROW_SLICE", 7)
+        code, out, _ = run(capsys, "decompose", str(n), "--format", form)
+        assert code == 0
+        assert out == reference_decompose(table_small, n, form)
+
+
+def reference_decompose(table, n, form):
+    """decompose output rendered entry by entry."""
+    profile = full_decomposition(table, n)
+    res = upsilon_stats(table, n)
+    if form == "json":
+        return json.dumps({"n": n, "factors": [[p, v] for p, v in profile],
+                           "upsilon": res.upsilon, "mean": float(fmt(res.mean))},
+                          separators=(",", ":")) + "\n"
+    if form == "csv":
+        return ("p,v\n" + "".join(f"{p},{v}\n" for p, v in profile)
+                + f"# upsilon={res.upsilon}\n# mean={fmt(res.mean)}\n")
+    width = len(str(profile.entries()[-1][0]))
+    return (f"{n}! = product of:\n"
+            + "".join(f"  {p:>{width}} ^ {v}\n" for p, v in profile)
+            + f"upsilon({n}) = {res.upsilon}\n"
+            + f"mean exponent = {res.mean_exact.numerator}/{res.mean_exact.denominator}"
+            + f" = {fmt(res.mean)}\n")
+
+
+def reference_report(table, theorem, points):
+    """verify --out CSV rendered point by point from evaluate_theorem."""
+    rows = [CSV_HEADER]
+    for n in points:
+        r = evaluate_theorem(table, theorem, int(n))
+        rows.append(",".join([r.theorem_id] + [fmt(x) for x in (
+            r.n, r.lhs, r.rhs, r.slack, r.holds, r.applicable, r.marginal)]))
+    return "\n".join(rows) + "\n"
 
 
 class TestVerify:
@@ -127,6 +176,42 @@ class TestVerify:
                 r.n, r.lhs, r.rhs, r.slack, r.holds, r.applicable, r.marginal)]))
         assert out_file.read_bytes() == ("\n".join(rows) + "\n").encode()
 
+    @pytest.mark.parametrize("theorem,n_from", [
+        ("T1", 2), ("T2", 2), ("C3", 2), ("T4", 2), ("T5", 2), ("TB2", 2),
+        ("TB4", 2), ("PI_LB", 2), ("PI_UB", 2), ("S32", 4)])
+    def test_report_rows_across_slices(self, capsys, tmp_path, monkeypatch,
+                                       table_small, theorem, n_from):
+        # 7-row slices inside 40-point windows: slice and window edges differ
+        monkeypatch.setattr(cli, "ROW_SLICE", 7)
+        monkeypatch.setattr(bounds, "WINDOW", 40)
+        out_file = tmp_path / "rows.csv"
+        code, _, _ = run(capsys, "verify", theorem, "--from", str(n_from),
+                         "--to", "150", "--out", str(out_file))
+        assert code == (1 if theorem == "T1" else 0)
+        assert out_file.read_text() == reference_report(table_small, theorem,
+                                                        range(n_from, 151))
+
+    @pytest.mark.parametrize("theorem", ["T1", "T4"])
+    def test_log_spaced_rows_across_slices(self, capsys, tmp_path, monkeypatch,
+                                           table_small, theorem):
+        monkeypatch.setattr(cli, "ROW_SLICE", 7)
+        out_file = tmp_path / "rows.csv"
+        code, _, _ = run(capsys, "verify", theorem, "--from", "3", "--to", "10000",
+                         "--log-samples", "30", "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_text() == reference_report(
+            table_small, theorem, bounds.log_spaced(3, 10000, 30))
+
+    def test_corollary_window_rows_across_slices(self, capsys, tmp_path, monkeypatch,
+                                                 table_big):
+        monkeypatch.setattr(cli, "ROW_SLICE", 7)
+        out_file = tmp_path / "rows.csv"
+        code, _, _ = run(capsys, "verify", "C3", "--from", "12602987",
+                         "--to", "12603006", "--out", str(out_file))
+        assert code == 0
+        assert out_file.read_text() == reference_report(
+            table_big, "C3", range(12_602_987, 12_603_007))
+
     def test_violation_lines(self, capsys):
         code, out, _ = run(capsys, "verify", "T1", "--from", "2", "--to", "70000")
         assert code == 1
@@ -152,6 +237,12 @@ class TestConstants:
     def test_unknown_name(self, capsys):
         code, _, err = run(capsys, "constants", "--only", "c99")
         assert code == 2
+
+    @pytest.mark.parametrize("only", [",", "", " , ,"])
+    def test_only_naming_nothing(self, capsys, only):
+        code, out, err = run(capsys, "constants", "--only", only)
+        assert code == 2
+        assert out == "" and "names no constant" in err
 
     def test_malformed_tol(self):
         with pytest.raises(SystemExit) as exc:
@@ -183,6 +274,22 @@ class TestPerfecter:
     def test_zero_rejected(self, capsys):
         code, _, _ = run(capsys, "perfecter", "0")
         assert code == 2
+
+    @pytest.mark.parametrize("n", [4, 5, 100, 10007])
+    def test_perfecter_computed_once(self, capsys, monkeypatch, n):
+        lo, hi = perfecter_bounds(build_table(n), n)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[1])
+            return perfecter_factorial(*args, **kwargs)
+
+        monkeypatch.setattr(perfecter_module, "perfecter_factorial", counted)
+        code, out, _ = run(capsys, "perfecter", str(n))
+        assert code == 0 and calls == [n]
+        assert out.splitlines()[-2:] == [
+            f"  lower bound exponent {fmt(lo.rhs)} < log value: {fmt(lo.holds)}",
+            f"  upper bound exponent {fmt(hi.rhs)} > log value: {fmt(hi.holds)}"]
 
     def test_negative_bit_cap_rejected(self, capsys):
         code, out, err = run(capsys, "perfecter", "100", "--exact-max-bits", "-5")
@@ -270,6 +377,18 @@ class TestScan:
         assert code == 0
         assert out.read_text() == reference_scan(table_small, 1001, 3000, step)
 
+    @pytest.mark.parametrize("n_from,n_to", [(2, 40), (12_602_978, 12_602_996)])
+    def test_rows_across_slices(self, capsys, tmp_path, table_small, table_big,
+                                monkeypatch, n_from, n_to):
+        # the T4 cells start at n = 3, the C3 cells at 12602987
+        monkeypatch.setattr(cli, "ROW_SLICE", 7)
+        out = tmp_path / "scan.csv"
+        code, _, _ = run(capsys, "scan", "--from", str(n_from), "--to", str(n_to),
+                         "--out", str(out))
+        assert code == 0
+        table = table_small if n_to <= table_small.limit else table_big
+        assert out.read_text() == reference_scan(table, n_from, n_to, 1)
+
     def test_corollary_columns(self, capsys, tmp_path, table_big):
         out = tmp_path / "scan.csv"
         code, _, _ = run(capsys, "scan", "--from", "12602980", "--to", "12603000",
@@ -298,3 +417,33 @@ class TestEnvironment:
         monkeypatch.setenv("FACTPRIMES_MAX_SIEVE", "lots")
         code, _, err = run(capsys, "decompose", "1000")
         assert code == 2
+
+
+class TestRowWriter:
+    # NaN, the infinities, -0.0 and subnormals included
+    @given(st.floats())
+    @example(-0.0)
+    @example(5e-324)
+    def test_float_template_is_fmt(self, x):
+        assert "%.12g" % x == fmt(x)
+
+    @pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, -0.0, 5e-324,
+                                   2.2250738585072014e-308, 1e16, 123456789012.5])
+    def test_float_template_edges(self, x):
+        assert "%.12g" % x == fmt(x)
+
+    @given(st.integers())
+    def test_int_template_is_fmt(self, n):
+        assert "%d" % n == fmt(n)
+
+
+def test_cli_import_loads_no_heavy_module():
+    # every CLI run pays for its imports; these are test or oracle tools only
+    heavy = ("sympy", "mpmath", "hypothesis", "scipy")
+    probe = ("import sys, factprimes.cli; "
+             f"print(sorted(m for m in sys.modules if m.split('.')[0] in {heavy!r}))")
+    src = str(Path(factprimes.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"
