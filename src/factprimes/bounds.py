@@ -19,11 +19,14 @@ Theorem identifiers and their claimed validity windows:
 plus the table-backed checks TB2/TB4 (theta deviation), PI_LB/PI_UB
 (prime-count bounds) and S32_perfecter (two-sided perfecter bound).
 
-Each of these is one :class:`Bound` record in ``BOUNDS``.  :func:`sweep`
-walks a range in windows of ``WINDOW`` points and yields per-point arrays
-(lhs, rhs, slack, verdicts); pointwise evaluation is a one-point window, so
-both go through the same numpy right-hand side and agree bit for bit.
-Memory stays O(WINDOW) however long the range is.
+Each of these is one :class:`Bound` record in ``BOUNDS``, its only
+description.  :func:`sweep` walks a range in windows of ``WINDOW`` points
+and yields per-point arrays (lhs, rhs, slack, verdicts).  Exact left-hand
+sides come from upsilon.factorial_windows over a range and from
+upsilon.factorial_points at scattered points; theta and pi read the table.
+Pointwise evaluation is a one-point window and :func:`rhs_value` a
+one-point rhs, so both agree with the sweep bit for bit.  Memory stays
+O(WINDOW) however long the range is.
 
 Note the T1 right-hand side contains (n-1) * log log(n-1), which diverges
 to -inf at n = 2; the verifier evaluates and reports exactly that, so the
@@ -41,12 +44,11 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .perfecter import perfecter_exponents, perfecter_factorial
 from .primes import PI_LOWER_MIN_N, PrimeTable, pi_bounds, theta_deviation_bounds
 from .report import MARGINAL_SLACK, BoundReport
 from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
                                 exp_integral, integrate)
-from .upsilon import Columns, factorial_windows, upsilon_value
+from .upsilon import Columns, factorial_points, factorial_windows
 
 # Interval half-width used when an exact rational mean is compared against
 # a binary64 right-hand side, to keep negligible-slack points from flipping.
@@ -95,6 +97,9 @@ CLOSED_FORM = ("c1", "c5", "c9", "c10", "e3_min")
 # Rational coefficient of log n in the simplified mean upper bound.
 C3_SLOPE_NUM = 380537
 C3_SLOPE_DEN = 17966
+
+# Coefficient of the deviation bound that drives both perfecter exponents.
+_DEV_COEFF = 793 / 200
 
 
 @dataclass(frozen=True)
@@ -341,6 +346,15 @@ def _rhs_t5(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
             - 54281 * k / (800 * lg**3) - c.c10 * k * lg * lg / n)
 
 
+def perfecter_exponents(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Lower and upper exponents of the two-sided perfecter bound,
+    n/2 - (793/200) n (1/log n + 1/(2 log(n/2))) and n + (793/200) n / log n,
+    elementwise over a float64 array of n >= 4."""
+    lg = np.log(n)
+    return (n / 2 - _DEV_COEFF * n * (1 / lg + 1 / (2 * np.log(n / 2))),
+            n + _DEV_COEFF * n / lg)
+
+
 # ------------------------------------------------------------------ registry
 
 @dataclass(frozen=True)
@@ -352,9 +366,8 @@ class Bound:
     "theta" (|theta(n) - n|), "pi" (prime count) or "perfecter" (log of the
     minimal square perfecter).  ``sense`` is "<", ">", "<=" or ">=", or
     "between" for the two-sided perfecter bound, whose sides both come from
-    perfecter_exponents (``rhs`` is None there; the upper exponent is
-    reported as the rhs).  ``rhs`` maps a float64 array of n and the
-    constants to the right-hand side.
+    perfecter_exponents; its rhs is the upper exponent.  ``rhs`` maps a
+    float64 array of n and the constants to the right-hand side.
     """
 
     id: str
@@ -362,7 +375,7 @@ class Bound:
     start: int
     sense: str
     lhs: str
-    rhs: Callable[[np.ndarray, ConstantsTable], np.ndarray] | None
+    rhs: Callable[[np.ndarray, ConstantsTable], np.ndarray]
 
     @property
     def upper(self) -> bool:
@@ -385,7 +398,8 @@ BOUNDS = {b.id: b for b in (
     Bound("TB4", None, 2, "<", "theta", lambda n, c: theta_deviation_bounds(n)[1]),
     Bound("PI_LB", None, PI_LOWER_MIN_N, ">=", "pi", lambda n, c: pi_bounds(n)[0]),
     Bound("PI_UB", None, 2, "<=", "pi", lambda n, c: pi_bounds(n)[1]),
-    Bound("S32_perfecter", "S32", 4, "between", "perfecter", None),
+    Bound("S32_perfecter", "S32", 4, "between", "perfecter",
+          lambda n, c: perfecter_exponents(n)[1]),
 )}
 
 _ALIASES = {b.alias: b.id for b in BOUNDS.values() if b.alias}
@@ -402,37 +416,15 @@ def resolve_theorem_id(theorem_id: str) -> str:
     return tid
 
 
-def _scalar_rhs(tid: str, n: float, c: ConstantsTable | None) -> float:
-    # a one-point array, so the value is bit-identical to the sweep's
+def rhs_value(theorem_id: str, n: float,
+              constants: ConstantsTable | None = None) -> float:
+    """The right-hand side of one bound at one real n >= 2, bit for bit
+    the rhs that evaluate_theorem and sweep report (a one-point array)."""
+    bound = BOUNDS[resolve_theorem_id(theorem_id)]
     if n < 2:
         raise DomainError(f"bounds are evaluated for n >= 2, got {n}")
-    return float(BOUNDS[tid].rhs_at(np.array([n], dtype=np.float64),
-                                    c or default_constants())[0])
-
-
-def rhs_t1(n: float, c: ConstantsTable | None = None) -> float:
-    """Upper-bound right-hand side for the exponent sum (validity n >= 2)."""
-    return _scalar_rhs("T1_upper_upsilon", n, c)
-
-
-def rhs_t2(n: float, c: ConstantsTable | None = None) -> float:
-    """Upper-bound right-hand side for the mean exponent (validity n >= 3)."""
-    return _scalar_rhs("T2_upper_mean", n, c)
-
-
-def rhs_c3(n: float, c: ConstantsTable | None = None) -> float:
-    """Simplified mean upper bound (validity n >= 12602987)."""
-    return _scalar_rhs("C3_upper_mean", n, c)
-
-
-def rhs_t4(n: float, c: ConstantsTable | None = None) -> float:
-    """Lower-bound right-hand side for the exponent sum (validity n >= 3)."""
-    return _scalar_rhs("T4_lower_upsilon", n, c)
-
-
-def rhs_t5(n: float, c: ConstantsTable | None = None) -> float:
-    """Lower-bound right-hand side for the mean exponent (validity n >= 2)."""
-    return _scalar_rhs("T5_lower_mean", n, c)
+    return float(bound.rhs_at(np.array([n], dtype=np.float64),
+                              constants or default_constants())[0])
 
 
 # -------------------------------------------------------------- sweep engine
@@ -481,26 +473,21 @@ def _mean_holds(upper: bool, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
     return holds
 
 
-def _window(table: PrimeTable, bound: Bound, ns: np.ndarray, c: ConstantsTable,
-            cols: Columns | None = None) -> Window:
-    """Evaluate one bound at the int64 points ns.
-
-    cols holds the exact left-hand sides at ns when the caller walks them
-    with factorial_windows; otherwise each point's is evaluated directly.
-    """
+def _window(table: PrimeTable, bound: Bound, cols: Columns, c: ConstantsTable
+            ) -> Window:
+    """Evaluate one bound at the points cols.n, from the exact left-hand
+    sides in cols (theta and pi read the table instead)."""
+    ns = cols.n
     nf = ns.astype(np.float64)
     if bound.lhs == "perfecter":
-        lhs = (cols.log_perfecter if cols is not None else np.array(
-            [perfecter_factorial(table, int(n)).log_value for n in ns.tolist()]))
+        lhs = cols.log_perfecter
         lower, rhs = perfecter_exponents(nf)
         # the rhs reported is the upper exponent, the slack the smaller margin
         slack = np.minimum(lhs - lower, rhs - lhs)
         holds = (lhs > lower) & (lhs < rhs)
     else:
         rhs = bound.rhs_at(nf, c)
-        if bound.lhs in ("upsilon", "mean"):
-            ups = (cols.upsilon if cols is not None else np.array(
-                [upsilon_value(table, int(n)) for n in ns.tolist()], dtype=np.int64))
+        ups = cols.upsilon
         if bound.lhs == "upsilon":
             lhs = ups.astype(np.float64)
         else:
@@ -520,23 +507,17 @@ def _window(table: PrimeTable, bound: Bound, ns: np.ndarray, c: ConstantsTable,
                   np.abs(slack) < MARGINAL_SLACK)
 
 
-def _exhaustive(table: PrimeTable, bound: Bound, n_from: int, n_to: int,
-                c: ConstantsTable) -> Iterator[Window]:
-    # theta and pi read the table directly; the other sides walk n! with
-    # factorial_windows, the perfecter column only for the perfecter bound
+def _points(table: PrimeTable, bound: Bound, ns: np.ndarray) -> Columns:
+    # exact left-hand sides at the points ns; theta and pi read the table
     if bound.lhs in ("theta", "pi"):
-        for lo in range(n_from, n_to + 1, WINDOW):
-            yield _window(table, bound, np.arange(lo, min(lo + WINDOW - 1, n_to) + 1,
-                                                  dtype=np.int64), c)
-        return
-    for cols in factorial_windows(table, n_from, n_to, WINDOW,
-                                  perfecter=bound.lhs == "perfecter"):
-        yield _window(table, bound, cols.n, c, cols)
+        return Columns(ns, None, None)
+    return factorial_points(table, ns, perfecter=bound.lhs == "perfecter")
 
 
 def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
-    """k geometrically spaced integers spanning [n_from, n_to], deduplicated."""
-    if n_from < 1 or n_from > n_to or k < 1:
+    """k geometrically spaced integers spanning [n_from, n_to], deduplicated;
+    k above the number of integers there is refused before any allocation."""
+    if n_from < 1 or n_from > n_to or not 1 <= k <= n_to - n_from + 1:
         raise DomainError(f"bad sampling request [{n_from}, {n_to}] x {k}")
     pts = np.geomspace(n_from, n_to, k).round().astype(np.int64)
     return np.unique(np.clip(pts, n_from, n_to))
@@ -547,24 +528,30 @@ def sweep(table: PrimeTable, theorem_id: str, n_from: int, n_to: int, *,
           constants: ConstantsTable | None = None) -> Iterator[Window]:
     """Evaluate one bound over [n_from, n_to], one window at a time.
 
-    Exhaustive sweeps walk consecutive windows of WINDOW points; with
-    log_samples the log-spaced points are walked instead, their left-hand
-    sides evaluated point by point.  The arguments are checked when this is
-    called, before the first window is computed.
+    Exhaustive sweeps walk consecutive windows of WINDOW points with
+    factorial_windows; with log_samples the log-spaced points are evaluated
+    instead, each by factorial_points.  The arguments are checked when this
+    is called, before the first window is computed.
 
     Raises:
-        DomainError: unknown id, empty range, n_from < 2, or n_from < 4
-            for the perfecter bound.
+        DomainError: unknown id, empty range, n_from < 2, n_from < 4 for
+            the perfecter bound, or more samples than points.
         OutOfRangeError: n_to beyond the table limit.
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
     _check_range(table, bound, n_from, n_to)
     c = constants or default_constants()
-    if log_samples is None:
-        return _exhaustive(table, bound, n_from, n_to, c)
-    points = log_spaced(n_from, n_to, log_samples)
-    return (_window(table, bound, points[i:i + WINDOW], c)
-            for i in range(0, len(points), WINDOW))
+    if log_samples is not None:
+        points = log_spaced(n_from, n_to, log_samples)
+        cols = (_points(table, bound, points[i:i + WINDOW])
+                for i in range(0, len(points), WINDOW))
+    elif bound.lhs in ("theta", "pi"):
+        cols = (Columns(np.arange(lo, min(lo + WINDOW, n_to + 1), dtype=np.int64), None, None)
+                for lo in range(n_from, n_to + 1, WINDOW))
+    else:
+        cols = factorial_windows(table, n_from, n_to, WINDOW,
+                                 perfecter=bound.lhs == "perfecter")
+    return (_window(table, bound, col, c) for col in cols)
 
 
 def _window_reports(theorem_id: str, window: Window) -> list[BoundReport]:
@@ -585,7 +572,7 @@ def evaluate_theorem(table: PrimeTable, theorem_id: str, n: int,
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
     _check_range(table, bound, n, n)
-    window = _window(table, bound, np.array([n], dtype=np.int64),
+    window = _window(table, bound, _points(table, bound, np.array([n], dtype=np.int64)),
                      constants or default_constants())
     return _window_reports(bound.id, window)[0]
 

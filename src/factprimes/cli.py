@@ -30,7 +30,7 @@ import numpy as np
 
 from . import bounds, perfecter, primes
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .upsilon import Columns, factorial_windows
+from .upsilon import Columns, factorial_points, factorial_windows
 from .upsilon import upsilon as upsilon_stats
 
 DEFAULT_MAX_SIEVE = 20_000_000
@@ -253,8 +253,8 @@ def cmd_perfecter(args) -> int:
         print(f"  exact value suppressed (over {args.exact_max_bits} bits; "
               "raise --exact-max-bits)")
     if args.n >= 4:
-        # perfecter_bounds' comparisons, on the log value already computed
-        lower, upper = primes._at(perfecter.perfecter_exponents, args.n)
+        # the S32 comparisons, on the log value already computed
+        lower, upper = primes._at(bounds.perfecter_exponents, args.n)
         print(f"  lower bound exponent {fmt(lower)} < log value: "
               f"{fmt(res.log_value > lower)}")
         print(f"  upper bound exponent {fmt(upper)} > log value: "
@@ -270,12 +270,12 @@ SCAN_HEADER = "n,upsilon,pi,mean,t1_rhs,t1_holds,t4_rhs,t4_holds,c3_rhs,c3_holds
 def _scan_columns(table, n_from: int, n_to: int, step: int) -> Iterator[Columns]:
     """Walker columns at the rows n_from, n_from + step, ... <= n_to.
 
-    Rows a window or more apart are anchored one by one: one anchor costs
-    about as much as walking one window.
+    Rows a window or more apart are evaluated point by point: one anchor
+    costs about as much as walking one window.
     """
     if step >= bounds.WINDOW:
-        for n in range(n_from, n_to + 1, step):
-            yield from factorial_windows(table, n, n, 1, perfecter=True)
+        yield factorial_points(table, np.arange(n_from, n_to + 1, step, dtype=np.int64),
+                               perfecter=True)
         return
     for cols in factorial_windows(table, n_from, n_to, bounds.WINDOW,
                                   perfecter=True):

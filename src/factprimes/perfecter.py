@@ -18,27 +18,26 @@ from typing import Sequence
 
 import numpy as np
 
+from .bounds import evaluate_theorem
 from .errors import DomainError, OutOfRangeError
-from .primes import PrimeTable, _at
-from .report import MARGINAL_SLACK, BoundReport
-from .valuation import is_prime, valuation_vector
+from .primes import PrimeTable
+from .report import BoundReport
+from .valuation import _odd_exponent_primes, is_prime, valuation_vector
 
 DEFAULT_EXACT_MAX_BITS = 4096
-
-# Coefficient of the deviation bound that drives both perfecter exponents.
-_DEV_COEFF = 793 / 200
 
 
 @dataclass(frozen=True)
 class PerfecterResult:
     """Minimal square perfecter of n! in factored and logarithmic form.
 
-    exact_value is the kernel as a big integer when its size fits the
-    configured bit cap, else None.
+    odd_primes is the ascending int64 array of the primes with an odd
+    exponent in n!; exact_value is the kernel as a big integer when its
+    size fits the configured bit cap, else None.
     """
 
     n: int
-    odd_primes: list[int]
+    odd_primes: np.ndarray
     log_value: float
     exact_value: int | None
 
@@ -98,27 +97,9 @@ def squarefree_kernel(factored: Sequence[tuple[int, int]]) -> list[int]:
     return sorted(odd)
 
 
-def _odd_exponent_primes(table: PrimeTable, n: int,
-                         v: np.ndarray | None = None) -> np.ndarray:
-    # primes p <= n with v_p(n!) odd; v is valuation_vector(table, n) when
-    # the caller already holds it
-    if v is None:
-        v = valuation_vector(table, n)
-    return table.primes_up_to(n)[(v & 1) == 1]
-
-
 def _log_sum(ps: np.ndarray) -> float:
     # exactly rounded, so equal to the sweep's limb sums (primes.log_limbs)
     return math.fsum(np.log(ps.astype(np.float64)))
-
-
-def perfecter_exponents(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper exponents of the two-sided perfecter bound,
-    n/2 - (793/200) n (1/log n + 1/(2 log(n/2))) and n + (793/200) n / log n,
-    elementwise over a float64 array of n >= 4."""
-    lg = np.log(n)
-    return (n / 2 - _DEV_COEFF * n * (1 / lg + 1 / (2 * np.log(n / 2))),
-            n + _DEV_COEFF * n / lg)
 
 
 def perfecter_factorial(table: PrimeTable, n: int, *,
@@ -140,7 +121,8 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
     if n == 1:
-        return PerfecterResult(n=1, odd_primes=[], log_value=0.0, exact_value=1)
+        return PerfecterResult(n=1, odd_primes=np.zeros(0, dtype=np.int64),
+                               log_value=0.0, exact_value=1)
     odd = _odd_exponent_primes(table, n)
     log_value = _log_sum(odd)
     # bit length of the product is log_value/log 2 up to rounding
@@ -152,8 +134,8 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
             exact = None
     else:
         exact = None
-    return PerfecterResult(n=n, odd_primes=[int(p) for p in odd],
-                           log_value=log_value, exact_value=exact)
+    return PerfecterResult(n=n, odd_primes=odd, log_value=log_value,
+                           exact_value=exact)
 
 
 def theta_classed(table: PrimeTable, n: int, q: int) -> ThetaClassed:
@@ -177,25 +159,11 @@ def theta_classed(table: PrimeTable, n: int, q: int) -> ThetaClassed:
     return ThetaClassed(n=n, q=q, values=values)
 
 
-def perfecter_bounds(table: PrimeTable, n: int) -> tuple[BoundReport, BoundReport]:
-    """Two-sided exponential bounds on the perfecter, compared in log space.
-
-    exp(n/2 - (793/200) n (1/log n + 1/(2 log(n/2))))  <  perfecter(n!)
-    and perfecter(n!) < exp(n + (793/200) n / log n), both for n >= 4.
-
-    Raises:
-        DomainError: n < 4.
-        OutOfRangeError: n beyond the table limit.
-    """
-    if n < 4:
-        raise DomainError(f"perfecter bounds need n >= 4, got {n}")
-    log_s = perfecter_factorial(table, n).log_value
-    lower, upper = _at(perfecter_exponents, n)
-    rep_lo = BoundReport("S32_lower", n, log_s, lower, log_s - lower,
-                         log_s > lower, marginal=abs(log_s - lower) < MARGINAL_SLACK)
-    rep_hi = BoundReport("S32_upper", n, log_s, upper, upper - log_s,
-                         log_s < upper, marginal=abs(upper - log_s) < MARGINAL_SLACK)
-    return rep_lo, rep_hi
+def perfecter_bounds(table: PrimeTable, n: int) -> BoundReport:
+    """The two-sided perfecter bound at n >= 4, in log space: the registry's
+    S32_perfecter report, its rhs the upper exponent and its slack the
+    smaller margin (see bounds.perfecter_exponents)."""
+    return evaluate_theorem(table, "S32", n)
 
 
 def bertrand_equivalence(table: PrimeTable, n: int) -> BertrandCheck:

@@ -86,6 +86,12 @@ def limb_prefix(high: np.ndarray, low: np.ndarray, start: tuple[int, int] = (0, 
     return np.ldexp(exact, -_LOG_SCALE), totals
 
 
+def limb_value(totals: tuple[int, int]) -> float:
+    """The correctly rounded value of limb totals, as limb_prefix rounds
+    its prefixes."""
+    return math.ldexp(float((totals[0] << _LIMB_BITS) + totals[1]), -_LOG_SCALE)
+
+
 def _kahan_prefix(values: np.ndarray) -> np.ndarray:
     """Prefix sums of prime logarithms, each one correctly rounded.
 
@@ -113,11 +119,6 @@ class PrimeTable:
     log_prefix: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.primes)
-
-    @property
-    def count(self) -> int:
-        """Number of primes in the table, i.e. pi(limit)."""
         return len(self.primes)
 
     def primes_up_to(self, n: float) -> np.ndarray:

@@ -31,7 +31,6 @@ class QuadratureSpec:
 
     abs_tol: float = 1e-10
     max_depth: int = 50
-    method: str = "adaptive-simpson"
 
     def __post_init__(self):
         if self.abs_tol <= 0:

@@ -169,6 +169,15 @@ def valuation_vector(table: PrimeTable, n: int) -> np.ndarray:
     return v
 
 
+def _odd_exponent_primes(table: PrimeTable, n: int,
+                         v: np.ndarray | None = None) -> np.ndarray:
+    # primes p <= n with v_p(n!) odd; v is valuation_vector(table, n) when
+    # the caller already holds it
+    if v is None:
+        v = valuation_vector(table, n)
+    return table.primes_up_to(n)[(v & 1) == 1]
+
+
 @dataclass(frozen=True)
 class ValuationProfile:
     """Full prime decomposition of n!: aligned arrays of primes and exponents."""

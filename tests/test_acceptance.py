@@ -18,7 +18,7 @@ from factprimes import (bertrand_equivalence, check_dusart_pi,
                         perfecter_bounds, perfecter_factorial, theta_classed,
                         upsilon_value, verify_range)
 from factprimes.bounds import (CLOSED_FORM, EXACT_EVAL, TABULATED, log_spaced,
-                               rhs_t1, rhs_t4)
+                               rhs_value)
 from factprimes.cli import main
 from factprimes.special_functions import (QuadratureSpec,
                                           exp_integral,
@@ -136,7 +136,7 @@ def test_c04_t1_full_claimed_window(table_big):
     t0 = time.perf_counter()
     _, summary = verify_range(table_big, "T1", 2, 100_000)
     _timings["c4"] = _timings.get("c4", 0.0) + time.perf_counter() - t0
-    rhs_2 = rhs_t1(2)
+    rhs_2 = rhs_value("T1", 2)
     ups_2 = upsilon_value(table_big, 2)
     ok = (summary.violations == (2,) and not summary.all_hold
           and summary.n_checked == summary.n_applicable == 99_999
@@ -272,8 +272,7 @@ def test_c07_perfecter_exactness(table_small):
         res = perfecter_factorial(table_small, n)
         classed = theta_classed(table_small, n, 2)
         assert res.log_value == classed.values[1], n
-        lo, hi = perfecter_bounds(table_small, n)
-        assert lo.holds and hi.holds, n
+        assert perfecter_bounds(table_small, n).holds, n
 
     # equivalence components agree everywhere
     for n in range(2, 10_001):
@@ -330,8 +329,8 @@ def test_c09_residual_band_consistency(table_big):
         ups = upsilon_value(table_big, n)
         llg = math.log(math.log(n))
         residual = (ups - n * llg) / n
-        upper_band = (rhs_t1(n) - n * llg) / n
-        lower_band = (rhs_t4(n) - n * llg) / n
+        upper_band = (rhs_value("T1", n) - n * llg) / n
+        lower_band = (rhs_value("T4", n) - n * llg) / n
         assert lower_band < residual < upper_band, n
         checked += 1
     _report(9, "residual stays inside implied bands", True,

@@ -1,6 +1,7 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -9,7 +10,7 @@ from factprimes import (DomainError, RangeSummary, default_constants,
                         s2, theta, upsilon_value, verify_range)
 from factprimes import bounds
 from factprimes.bounds import (CLOSED_FORM, EXACT_EVAL, TABULATED,
-                               log_spaced, resolve_theorem_id, rhs_t1, sweep)
+                               log_spaced, resolve_theorem_id, rhs_value, sweep)
 from factprimes.errors import OutOfRangeError, ResourceLimitError
 
 
@@ -158,6 +159,24 @@ class TestEpsilonInequality:
         print(f"\nsampled inf of (rhs - integral) = {min(margins):.9f} "
               f"(tabulated eps = {eps})")
 
+    def test_fails_exactly_on_12630_to_12646(self, constants):
+        # the README finding, at 30 digits: the margin rhs - (li(n) - li(2))
+        # - eps is negative at exactly these 17 integers of [12600, 12680]
+        # (+4.47e-9 at 12629, -2.04e-8 at 12630, +1.73e-8 at 12647)
+        with mpmath.workdps(30):
+            eps = mpmath.mpf(constants.eps)
+
+            def margin(n):
+                lg = mpmath.log(n)
+                rhs = (n * sum(mpmath.factorial(k - 1) / lg**k for k in range(1, 5))
+                       + 51 * n / lg**5)
+                return rhs - (mpmath.li(n) - mpmath.li(2)) - eps
+
+            failing = [n for n in range(12_600, 12_681) if margin(n) < 0]
+            assert failing == list(range(12_630, 12_647))
+            assert 4e-9 < margin(12_629) < 5e-9
+            assert -2.1e-8 < margin(12_630) < -2e-8
+
     def test_s2_lower_chain_from_564(self, table_small, constants):
         for n in (564, 1000, 5000, 10_000):
             lhs = s2(table_small, n)
@@ -238,6 +257,12 @@ class TestVerifyRange:
         _, summary = verify_range(table_small, "T4", 3, 10_000, log_samples=25)
         assert summary.all_hold and summary.sampling == "log-spaced(25)"
 
+    def test_log_sampling_at_most_one_sample_per_point(self):
+        assert list(log_spaced(3, 7, 5)) == [3, 4, 5, 6, 7]
+        for k in (0, 6, 10**20):
+            with pytest.raises(DomainError):
+                log_spaced(3, 7, k)
+
     def test_exhaustive_matches_pointwise(self, table_small):
         reports, _ = verify_range(table_small, "T5", 2, 40)
         for rep in reports[:10]:
@@ -266,9 +291,8 @@ class TestResidualBandConsistency:
             ups = upsilon_value(table_big, n)
             llg = math.log(math.log(n))
             residual = (ups - n * llg) / n
-            from factprimes.bounds import rhs_t4
-            upper_band = (rhs_t1(n) - n * llg) / n
-            lower_band = (rhs_t4(n) - n * llg) / n
+            upper_band = (rhs_value("T1", n) - n * llg) / n
+            lower_band = (rhs_value("T4", n) - n * llg) / n
             assert lower_band < residual < upper_band, n
 
 
@@ -342,13 +366,14 @@ class TestSweepEngine:
         with pytest.raises(OutOfRangeError):
             sweep(table_small, "TB2", 2, table_small.limit + 1)
 
-    @pytest.mark.parametrize("tid", ["T1", "T2", "C3", "T4", "T5"])
+    @pytest.mark.parametrize("tid", ["T1", "T2", "C3", "T4", "T5", "TB2", "TB4",
+                                     "PI_LB", "PI_UB", "S32"])
     def test_scalar_rhs_is_the_sweep_rhs(self, tid, table_small):
-        fn = getattr(bounds, f"rhs_{tid.lower()}")
-        (window,) = sweep(table_small, tid, 2, 5000)
-        for i in (0, 1, 977, 4998):
-            value = fn(int(window.n[i]))
+        (window,) = sweep(table_small, tid, 4 if tid == "S32" else 2, 5000)
+        for i in (0, 1, 977, len(window.n) - 1):
+            n = int(window.n[i])
+            value = rhs_value(tid, n)
             assert type(value) is float
-            assert value == window.rhs[i]
+            assert value == window.rhs[i] == evaluate_theorem(table_small, tid, n).rhs
         with pytest.raises(DomainError):
-            fn(1)
+            rhs_value(tid, 1)

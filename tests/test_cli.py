@@ -15,7 +15,7 @@ from factprimes import (bounds, build_table, cli, evaluate_theorem,
                         perfecter_factorial, pi, primes, upsilon_value)
 from factprimes import perfecter as perfecter_module
 from factprimes import upsilon as upsilon_stats
-from factprimes.bounds import rhs_c3, rhs_t1, rhs_t4
+from factprimes.bounds import rhs_value
 from factprimes.cli import CSV_HEADER, SCAN_HEADER, fmt, main
 
 
@@ -123,6 +123,13 @@ class TestVerify:
                            "--log-samples", "20")
         assert code == 0
         assert "log-spaced(20)" in out
+
+    def test_more_log_samples_than_points_is_a_bad_request(self, capsys):
+        # refused before numpy is asked for the points (1e20 of them)
+        code, out, err = run(capsys, "verify", "T1", "--from", "3", "--to", "1000",
+                             "--log-samples", "100000000000000000000")
+        assert code == 2
+        assert out == "" and "bad request" in err
 
     def test_report_file(self, capsys, tmp_path):
         out_file = tmp_path / "t4.csv"
@@ -277,7 +284,8 @@ class TestPerfecter:
 
     @pytest.mark.parametrize("n", [4, 5, 100, 10007])
     def test_perfecter_computed_once(self, capsys, monkeypatch, n):
-        lo, hi = perfecter_bounds(build_table(n), n)
+        rep = perfecter_bounds(build_table(n), n)
+        lower = primes._at(bounds.perfecter_exponents, n)[0]
         calls = []
 
         def counted(*args, **kwargs):
@@ -288,8 +296,8 @@ class TestPerfecter:
         code, out, _ = run(capsys, "perfecter", str(n))
         assert code == 0 and calls == [n]
         assert out.splitlines()[-2:] == [
-            f"  lower bound exponent {fmt(lo.rhs)} < log value: {fmt(lo.holds)}",
-            f"  upper bound exponent {fmt(hi.rhs)} > log value: {fmt(hi.holds)}"]
+            f"  lower bound exponent {fmt(lower)} < log value: {fmt(rep.lhs > lower)}",
+            f"  upper bound exponent {fmt(rep.rhs)} > log value: {fmt(rep.lhs < rep.rhs)}"]
 
     def test_negative_bit_cap_rejected(self, capsys):
         code, out, err = run(capsys, "perfecter", "100", "--exact-max-bits", "-5")
@@ -304,15 +312,15 @@ def reference_scan(table, n_from, n_to, step):
         ups = upsilon_value(table, n)
         pin = pi(table, n)
         mean = ups / pin
-        t1 = rhs_t1(n)
+        t1 = rhs_value("T1", n)
         cells = [str(n), str(ups), str(pin), fmt(mean), fmt(t1), fmt(ups < t1)]
         if n >= 3:
-            t4 = rhs_t4(n)
+            t4 = rhs_value("T4", n)
             cells += [fmt(t4), fmt(ups > t4)]
         else:
             cells += ["", ""]
         if n >= 12_602_987:
-            c3 = rhs_c3(n)
+            c3 = rhs_value("C3", n)
             cells += [fmt(c3), fmt(mean < c3)]
         else:
             cells += ["", ""]

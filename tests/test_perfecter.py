@@ -51,11 +51,11 @@ class TestSquarefreeKernel:
 class TestPerfecterFactorial:
     def test_examples(self, table_small):
         r4 = perfecter_factorial(table_small, 4)
-        assert r4.odd_primes == [2, 3] and r4.exact_value == 6
+        assert r4.odd_primes.tolist() == [2, 3] and r4.exact_value == 6
         r1 = perfecter_factorial(table_small, 1)
         assert r1.exact_value == 1 and r1.log_value == 0.0
         r5 = perfecter_factorial(table_small, 5)
-        assert r5.odd_primes == [2, 3, 5] and r5.exact_value == 30
+        assert r5.odd_primes.tolist() == [2, 3, 5] and r5.exact_value == 30
         assert 120 * 30 == 3600 and is_square(3600)
 
     def test_bit_cap(self, table_small):
@@ -155,7 +155,7 @@ class TestPerfecterSweep:
         for k in range(2, n + 1):
             exponents.update(_factorint(k))
         odd = sorted(p for p, e in exponents.items() if e % 2)
-        assert perfecter_factorial(table_small, n).odd_primes == odd
+        assert perfecter_factorial(table_small, n).odd_primes.tolist() == odd
         lo = data.draw(st.integers(2, n), label="lo")
         *_, last = factorial_windows(table_small, lo, n, 97, perfecter=True)
         fingerprint = math.fsum(np.log(np.array(odd, dtype=np.float64)).tolist())
@@ -163,19 +163,21 @@ class TestPerfecterSweep:
 
 
 class TestPerfecterBounds:
+    # one S32_perfecter report: holds iff both sides hold, and its slack
+    # is the smaller of the two margins
     def test_at_4(self, table_small):
-        lo, hi = perfecter_bounds(table_small, 4)
-        assert lo.lhs == pytest.approx(math.log(6), abs=1e-12)
-        assert lo.holds and hi.holds
+        rep = perfecter_bounds(table_small, 4)
+        assert rep.theorem_id == "S32_perfecter"
+        assert rep.lhs == pytest.approx(math.log(6), abs=1e-12)
+        assert rep.holds
 
     def test_at_1e4(self, table_small):
-        lo, hi = perfecter_bounds(table_small, 10_000)
-        assert lo.holds and hi.holds
+        assert perfecter_bounds(table_small, 10_000).holds
 
     def test_at_1e6(self, table_big):
-        lo, hi = perfecter_bounds(table_big, 10**6)
-        assert lo.holds and hi.holds
-        assert lo.slack > 0 and hi.slack > 0
+        rep = perfecter_bounds(table_big, 10**6)
+        assert rep.holds
+        assert rep.slack > 0
 
     def test_domain(self, table_small):
         with pytest.raises(DomainError):

@@ -7,11 +7,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factprimes import (DomainError, FactprimesError, lambert_w_index,
-                        mean_location, mean_vs_Lth_prime, omega, upsilon,
+from factprimes import (DomainError, FactprimesError, OutOfRangeError,
+                        lambert_w_index, mean_location, mean_vs_Lth_prime,
+                        omega, perfecter_factorial, upsilon,
                         upsilon_asymptotic_gap, upsilon_range, upsilon_value,
                         valuation_vector)
-from factprimes.upsilon import omega_window
+from factprimes.upsilon import factorial_points, omega_window
 
 
 class TestUpsilon:
@@ -108,6 +109,29 @@ class TestRangeScanner:
     def test_validation(self, table_small):
         with pytest.raises(DomainError):
             upsilon_range(table_small, 5, 4)
+
+
+class TestFactorialPoints:
+    @given(st.sets(st.integers(2, 3000), max_size=25))
+    @settings(max_examples=40, deadline=None)
+    def test_each_point_matches_its_direct_value(self, table_small, points):
+        ns = np.array(sorted(points | {2, 3, 4, table_small.limit}), dtype=np.int64)
+        cols = factorial_points(table_small, ns, perfecter=True)
+        assert cols.n is ns
+        for n, ups, log in zip(ns.tolist(), cols.upsilon.tolist(),
+                               cols.log_perfecter.tolist()):
+            assert ups == upsilon_value(table_small, n), n
+            assert log == perfecter_factorial(table_small, n).log_value, n
+        plain = factorial_points(table_small, ns)
+        assert plain.log_perfecter is None
+        assert np.array_equal(plain.upsilon, cols.upsilon)
+
+    def test_validation(self, table_small):
+        with pytest.raises(DomainError):
+            factorial_points(table_small, np.array([1, 5], dtype=np.int64))
+        with pytest.raises(OutOfRangeError):
+            factorial_points(table_small, np.array([5, table_small.limit + 1],
+                                                   dtype=np.int64))
 
 
 class TestMeanLocation:
