@@ -20,13 +20,13 @@ plus the table-backed checks TB2/TB4 (theta deviation), PI_LB/PI_UB
 (prime-count bounds) and S32_perfecter (two-sided perfecter bound).
 
 Each of these is one :class:`Bound` record in ``BOUNDS``, its only
-description.  :func:`sweep` walks a range in windows of ``WINDOW`` points
-and yields per-point arrays (lhs, rhs, slack, verdicts).  Exact left-hand
-sides come from upsilon.factorial_windows over a range and from
-upsilon.factorial_points at scattered points; theta and pi read the table.
+description.  :func:`columns` chooses the points, in windows of ``WINDOW``,
+and :func:`evaluate` decides the verdicts of a window; ``sweep``,
+``verify`` and ``scan`` call both.  Exact left-hand sides come from
+upsilon.factorial_windows over a range and from upsilon.factorial_points
+at scattered points; theta and pi read the table, at real n too.
 Pointwise evaluation is a one-point window and :func:`rhs_value` a
-one-point rhs, so both agree with the sweep bit for bit.  Memory stays
-O(WINDOW) however long the range is.
+one-point rhs, so all agree bit for bit.  Memory stays O(WINDOW).
 
 Note the T1 right-hand side contains (n-1) * log log(n-1), which diverges
 to -inf at n = 2; the verifier evaluates and reports exactly that, so the
@@ -36,6 +36,7 @@ n = 2 endpoint of T1's claimed window comes out as a violation.
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -44,7 +45,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .primes import PI_LOWER_MIN_N, PrimeTable, pi_bounds, theta_deviation_bounds
+from .primes import PrimeTable
 from .report import MARGINAL_SLACK, BoundReport
 from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
                                 exp_integral, integrate)
@@ -100,6 +101,9 @@ C3_SLOPE_DEN = 17966
 
 # Coefficient of the deviation bound that drives both perfecter exponents.
 _DEV_COEFF = 793 / 200
+
+# The pi(n) lower bound is only claimed from 599 on.
+PI_LOWER_MIN_N = 599
 
 
 @dataclass(frozen=True)
@@ -346,13 +350,37 @@ def _rhs_t5(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
             - 54281 * k / (800 * lg**3) - c.c10 * k * lg * lg / n)
 
 
+def _rhs_tb2(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
+    lg = np.log(n)
+    return 793 * n / (200 * lg * lg)
+
+
+def _rhs_tb4(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
+    return 1717433 * n / np.log(n)**4
+
+
+def _rhs_pi_lb(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
+    lg = np.log(n)
+    return n / lg * (1 + 1 / lg)
+
+
+def _rhs_pi_ub(n: np.ndarray, c: ConstantsTable) -> np.ndarray:
+    lg = np.log(n)
+    return n / lg * (1 + 6381 / (5000 * lg))
+
+
+def _rhs_s32(n: np.ndarray, c: ConstantsTable | None) -> np.ndarray:
+    # the upper exponent of the two-sided perfecter bound
+    return n + _DEV_COEFF * n / np.log(n)
+
+
 def perfecter_exponents(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper exponents of the two-sided perfecter bound,
     n/2 - (793/200) n (1/log n + 1/(2 log(n/2))) and n + (793/200) n / log n,
     elementwise over a float64 array of n >= 4."""
     lg = np.log(n)
     return (n / 2 - _DEV_COEFF * n * (1 / lg + 1 / (2 * np.log(n / 2))),
-            n + _DEV_COEFF * n / lg)
+            _rhs_s32(n, None))
 
 
 # ------------------------------------------------------------------ registry
@@ -394,13 +422,15 @@ BOUNDS = {b.id: b for b in (
     Bound("C3_upper_mean", "C3", 12_602_987, "<", "mean", _rhs_c3),
     Bound("T4_lower_upsilon", "T4", 3, ">", "upsilon", _rhs_t4),
     Bound("T5_lower_mean", "T5", 2, ">", "mean", _rhs_t5),
-    Bound("TB2", None, 2, "<", "theta", lambda n, c: theta_deviation_bounds(n)[0]),
-    Bound("TB4", None, 2, "<", "theta", lambda n, c: theta_deviation_bounds(n)[1]),
-    Bound("PI_LB", None, PI_LOWER_MIN_N, ">=", "pi", lambda n, c: pi_bounds(n)[0]),
-    Bound("PI_UB", None, 2, "<=", "pi", lambda n, c: pi_bounds(n)[1]),
-    Bound("S32_perfecter", "S32", 4, "between", "perfecter",
-          lambda n, c: perfecter_exponents(n)[1]),
+    Bound("TB2", None, 2, "<", "theta", _rhs_tb2),
+    Bound("TB4", None, 2, "<", "theta", _rhs_tb4),
+    Bound("PI_LB", None, PI_LOWER_MIN_N, ">=", "pi", _rhs_pi_lb),
+    Bound("PI_UB", None, 2, "<=", "pi", _rhs_pi_ub),
+    Bound("S32_perfecter", "S32", 4, "between", "perfecter", _rhs_s32),
 )}
+
+# Left-hand sides defined at every real n >= 2, not at integers only.
+_REAL_LHS = ("theta", "pi")
 
 _ALIASES = {b.alias: b.id for b in BOUNDS.values() if b.alias}
 
@@ -418,11 +448,11 @@ def resolve_theorem_id(theorem_id: str) -> str:
 
 def rhs_value(theorem_id: str, n: float,
               constants: ConstantsTable | None = None) -> float:
-    """The right-hand side of one bound at one real n >= 2, bit for bit
-    the rhs that evaluate_theorem and sweep report (a one-point array)."""
+    """The right-hand side of one bound at one finite real n >= 2, bit for
+    bit the rhs that evaluate_theorem and sweep report (a one-point array)."""
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
-    if n < 2:
-        raise DomainError(f"bounds are evaluated for n >= 2, got {n}")
+    if not 2 <= n <= sys.float_info.max:
+        raise DomainError(f"bounds are evaluated at finite n >= 2, got {n}")
     return float(bound.rhs_at(np.array([n], dtype=np.float64),
                               constants or default_constants())[0])
 
@@ -448,12 +478,16 @@ class Window(NamedTuple):
     marginal: np.ndarray
 
 
-def _check_range(table: PrimeTable, bound: Bound, n_from: int, n_to: int) -> None:
+def _check_range(table: PrimeTable, n_from, n_to, bound: Bound | None = None, *,
+                 real: bool = False) -> None:
+    for n in (n_from, n_to):
+        if not (-math.inf < n < math.inf and (real or n == int(n))):
+            raise DomainError(f"n must be a finite {'number' if real else 'integer'}, got {n}")
     if n_from > n_to:
         raise DomainError(f"empty range [{n_from}, {n_to}]")
     if n_from < 2:
         raise DomainError(f"bounds are evaluated for n >= 2, got {n_from}")
-    if bound.lhs == "perfecter" and n_from < bound.start:
+    if bound is not None and bound.lhs == "perfecter" and n_from < bound.start:
         raise DomainError(f"perfecter bounds need n >= {bound.start}, got {n_from}")
     if n_to > table.limit:
         raise OutOfRangeError(f"n={n_to} exceeds table limit {table.limit}")
@@ -473,10 +507,11 @@ def _mean_holds(upper: bool, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
     return holds
 
 
-def _window(table: PrimeTable, bound: Bound, cols: Columns, c: ConstantsTable
-            ) -> Window:
+def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: ConstantsTable
+             ) -> Window:
     """Evaluate one bound at the points cols.n, from the exact left-hand
-    sides in cols (theta and pi read the table instead)."""
+    sides in cols (theta and pi read the table instead, and take float64
+    points too): the one place a verdict is decided."""
     ns = cols.n
     nf = ns.astype(np.float64)
     if bound.lhs == "perfecter":
@@ -486,7 +521,7 @@ def _window(table: PrimeTable, bound: Bound, cols: Columns, c: ConstantsTable
         slack = np.minimum(lhs - lower, rhs - lhs)
         holds = (lhs > lower) & (lhs < rhs)
     else:
-        rhs = bound.rhs_at(nf, c)
+        rhs = bound.rhs_at(nf, constants)
         ups = cols.upsilon
         if bound.lhs == "upsilon":
             lhs = ups.astype(np.float64)
@@ -507,11 +542,11 @@ def _window(table: PrimeTable, bound: Bound, cols: Columns, c: ConstantsTable
                   np.abs(slack) < MARGINAL_SLACK)
 
 
-def _points(table: PrimeTable, bound: Bound, ns: np.ndarray) -> Columns:
+def _points(table: PrimeTable, lhs: str, ns: np.ndarray) -> Columns:
     # exact left-hand sides at the points ns; theta and pi read the table
-    if bound.lhs in ("theta", "pi"):
+    if lhs in _REAL_LHS:
         return Columns(ns, None, None)
-    return factorial_points(table, ns, perfecter=bound.lhs == "perfecter")
+    return factorial_points(table, ns, perfecter=lhs == "perfecter")
 
 
 def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
@@ -523,35 +558,53 @@ def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
     return np.unique(np.clip(pts, n_from, n_to))
 
 
+def columns(table: PrimeTable, lhs: str, n_from: int, n_to: int, *, step: int = 1,
+            log_samples: int | None = None) -> Iterator[Columns]:
+    """The points n_from, n_from + step, ... <= n_to, or log_samples
+    log-spaced points, with their exact left-hand sides of kind lhs, in
+    ascending windows of at most WINDOW points.  Steps below WINDOW walk
+    factorial_windows and keep every step-th row; log-spaced points and
+    wider steps go through factorial_points, since one anchor costs about
+    as much as walking one window.  The arguments are checked here."""
+    _check_range(table, n_from, n_to)
+    n_from, n_to = int(n_from), int(n_to)
+    if step < 1 or (step > 1 and log_samples is not None):
+        raise DomainError(f"bad step {step} (with log_samples={log_samples})")
+    if log_samples is not None:
+        points = log_spaced(n_from, n_to, log_samples)
+        chunks = (points[i:i + WINDOW] for i in range(0, len(points), WINDOW))
+    elif lhs in _REAL_LHS or step >= WINDOW:
+        span = WINDOW * step
+        chunks = (np.arange(lo, min(lo + span, n_to + 1), step, dtype=np.int64)
+                  for lo in range(n_from, n_to + 1, span))
+    else:
+        walk = factorial_windows(table, n_from, n_to, WINDOW,
+                                 perfecter=lhs == "perfecter")
+        if step == 1:
+            return walk
+        # walked windows are consecutive: every step-th row is a slice
+        return (Columns(*(None if a is None else a[(n_from - cols.n[0]) % step::step]
+                          for a in cols)) for cols in walk)
+    return (_points(table, lhs, ns) for ns in chunks)
+
+
 def sweep(table: PrimeTable, theorem_id: str, n_from: int, n_to: int, *,
           log_samples: int | None = None,
           constants: ConstantsTable | None = None) -> Iterator[Window]:
-    """Evaluate one bound over [n_from, n_to], one window at a time.
-
-    Exhaustive sweeps walk consecutive windows of WINDOW points with
-    factorial_windows; with log_samples the log-spaced points are evaluated
-    instead, each by factorial_points.  The arguments are checked when this
-    is called, before the first window is computed.
+    """The windows of :func:`columns` over [n_from, n_to], each judged by
+    :func:`evaluate`.  The arguments are checked here, before any window.
 
     Raises:
-        DomainError: unknown id, empty range, n_from < 2, n_from < 4 for
-            the perfecter bound, or more samples than points.
+        DomainError: unknown id, non-integral or non-finite ends, empty
+            range, n_from < 2, n_from < 4 for the perfecter bound, or more
+            samples than points.
         OutOfRangeError: n_to beyond the table limit.
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
-    _check_range(table, bound, n_from, n_to)
+    _check_range(table, n_from, n_to, bound)
+    cols = columns(table, bound.lhs, n_from, n_to, log_samples=log_samples)
     c = constants or default_constants()
-    if log_samples is not None:
-        points = log_spaced(n_from, n_to, log_samples)
-        cols = (_points(table, bound, points[i:i + WINDOW])
-                for i in range(0, len(points), WINDOW))
-    elif bound.lhs in ("theta", "pi"):
-        cols = (Columns(np.arange(lo, min(lo + WINDOW, n_to + 1), dtype=np.int64), None, None)
-                for lo in range(n_from, n_to + 1, WINDOW))
-    else:
-        cols = factorial_windows(table, n_from, n_to, WINDOW,
-                                 perfecter=bound.lhs == "perfecter")
-    return (_window(table, bound, col, c) for col in cols)
+    return (evaluate(table, bound, col, c) for col in cols)
 
 
 def _window_reports(theorem_id: str, window: Window) -> list[BoundReport]:
@@ -560,20 +613,23 @@ def _window_reports(theorem_id: str, window: Window) -> list[BoundReport]:
             for row in zip(*(a.tolist() for a in window))]
 
 
-def evaluate_theorem(table: PrimeTable, theorem_id: str, n: int,
+def evaluate_theorem(table: PrimeTable, theorem_id: str, n: float,
                      constants: ConstantsTable | None = None) -> BoundReport:
     """Evaluate one bound at one n: exact lhs, recomputed-constant rhs.
 
-    Probing outside a bound's claimed window is allowed where the formulas
-    make sense; the report carries applicable=False there.
+    n is an integer, except for the theta and pi bounds (TB2, TB4, PI_LB,
+    PI_UB), which take any finite real n >= 2.  Probing outside a bound's
+    claimed window is allowed; the report carries applicable=False there.
 
     Raises:
         DomainError / OutOfRangeError: n not evaluable at all.
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
-    _check_range(table, bound, n, n)
-    window = _window(table, bound, _points(table, bound, np.array([n], dtype=np.int64)),
-                     constants or default_constants())
+    real = bound.lhs in _REAL_LHS
+    _check_range(table, n, n, bound, real=real)
+    ns = np.array([n], dtype=None if real else np.int64)
+    window = evaluate(table, bound, _points(table, bound.lhs, ns),
+                      constants or default_constants())
     return _window_reports(bound.id, window)[0]
 
 

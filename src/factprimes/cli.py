@@ -7,6 +7,8 @@ regardless of locale or platform.  Per-n rows (verify --out, scan,
 decompose) go through one row writer: ROW_SLICE rows at a time become
 Python values and are rendered with one %-template per row, ints as %d and
 floats as %.12g, which is fmt byte for byte; scalar lines use fmt.
+verify and scan take their points and verdicts from bounds.columns and
+bounds.evaluate; no bound formula, comparison or start is restated here.
 --jobs is accepted for compatibility and has no effect: threads measured
 no gain for verify and a slowdown for scan.
 
@@ -24,13 +26,12 @@ import os
 import sys
 from fractions import Fraction
 from itertools import pairwise
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
 from . import bounds, perfecter, primes
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .upsilon import Columns, factorial_points, factorial_windows
 from .upsilon import upsilon as upsilon_stats
 
 DEFAULT_MAX_SIEVE = 20_000_000
@@ -169,10 +170,11 @@ def cmd_verify(args) -> int:
     if n_from > n_to:
         print(f"empty range [{n_from}, {n_to}]", file=sys.stderr)
         return EXIT_USAGE
-    if tid == "S32_perfecter" and n_from < 4:
-        print("note: perfecter bounds start at n = 4; clipping range",
+    bound = bounds.BOUNDS[tid]
+    if bound.lhs == "perfecter" and n_from < bound.start:
+        print(f"note: perfecter bounds start at n = {bound.start}; clipping range",
               file=sys.stderr)
-        n_from = 4
+        n_from = bound.start
     table = _build_table(n_to, args.max_sieve)
     windows = bounds.sweep(table, tid, n_from, n_to, log_samples=args.log_samples)
 
@@ -188,9 +190,8 @@ def cmd_verify(args) -> int:
         print(f"cannot write report: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
 
-    validity = bounds.BOUNDS[tid].start
     skipped = summary.n_checked - summary.n_applicable
-    note = f" ({skipped} below the validity window n >= {validity})" if skipped else ""
+    note = f" ({skipped} below the validity window n >= {bound.start})" if skipped else ""
     print(f"{tid} [{n_from}..{n_to}] {summary.sampling}: "
           f"checked {summary.n_checked}{note}")
     if summary.all_hold:
@@ -207,6 +208,9 @@ def cmd_verify(args) -> int:
 # ---------------------------------------------------------------- constants
 
 def cmd_constants(args) -> int:
+    if not args.tol >= 0:  # nan too
+        print(f"--tol must be a number >= 0, got {args.tol!r}", file=sys.stderr)
+        return EXIT_USAGE
     table = bounds.compute_constants()
     names = list(table.entries)
     if args.only is not None:
@@ -265,45 +269,26 @@ def cmd_perfecter(args) -> int:
 # --------------------------------------------------------------------- scan
 
 SCAN_HEADER = "n,upsilon,pi,mean,t1_rhs,t1_holds,t4_rhs,t4_holds,c3_rhs,c3_holds,perfecter_log"
+_SCAN_BOUNDS = ("T1_upper_upsilon", "T4_lower_upsilon", "C3_upper_mean")
 
 
-def _scan_columns(table, n_from: int, n_to: int, step: int) -> Iterator[Columns]:
-    """Walker columns at the rows n_from, n_from + step, ... <= n_to.
-
-    Rows a window or more apart are evaluated point by point: one anchor
-    costs about as much as walking one window.
-    """
-    if step >= bounds.WINDOW:
-        yield factorial_points(table, np.arange(n_from, n_to + 1, step, dtype=np.int64),
-                               perfecter=True)
-        return
-    for cols in factorial_windows(table, n_from, n_to, bounds.WINDOW,
-                                  perfecter=True):
-        rows = (cols.n - n_from) % step == 0
-        yield Columns(*(a[rows] for a in cols))
-
-
-def _scan_rows(fh, table, constants, cols: Columns) -> None:
-    """Write one window of scan rows, T1/T4/C3 from the registry's numpy
-    right-hand sides.  The T4 cells are empty below n = 3 and the C3 cells
-    below C3's start, so the ascending rows split into at most three runs,
-    one template each."""
-    ups = cols.upsilon
-    nf = cols.n.astype(np.float64)
+def _scan_rows(fh, table, constants, cols) -> None:
+    """Write one window of scan rows, the T1/T4/C3 cells from the registry's
+    verdicts.  A row's T4 and C3 cells are empty where that bound is not
+    applicable; applicability is a suffix of the ascending rows, so the
+    rows split into at most three runs, one template each."""
+    t1, t4, c3 = (bounds.evaluate(table, bounds.BOUNDS[tid], cols, constants)
+                  for tid in _SCAN_BOUNDS)
     pis = np.searchsorted(table.primes, cols.n, side="right")
-    mean = ups / pis
-    t1, t4, c3 = (bounds.BOUNDS[tid].rhs_at(nf, constants)
-                  for tid in ("T1_upper_upsilon", "T4_lower_upsilon", "C3_upper_mean"))
-    # upsilon < 2^53, so comparing it with the rhs in float64 is exact
-    head = (cols.n, ups, pis, mean, t1, _bool_cells(ups < t1))
-    t4_cells = (t4, _bool_cells(ups > t4))
-    c3_cells = (c3, _bool_cells(mean < c3))
-    runs = ((",,,,", ()), ("%.12g,%s,,,", t4_cells),
-            ("%.12g,%s,%.12g,%s,", t4_cells + c3_cells))
-    cuts = np.searchsorted(cols.n, [3, bounds.BOUNDS["C3_upper_mean"].start]).tolist()
-    for (a, b), (cells, extra) in zip(pairwise([0, *cuts, len(cols.n)]), runs):
-        _write_rows(fh, "%d,%d,%d,%.12g,%.12g,%s," + cells + "%.12g\n",
-                    [c[a:b] for c in (*head, *extra, cols.log_perfecter)])
+    head = (cols.n, cols.upsilon, pis, c3.lhs, t1.rhs, _bool_cells(t1.holds))
+    cells = [(w.rhs, _bool_cells(w.holds)) for w in (t4, c3)]
+    cuts = {len(cols.n) - np.count_nonzero(w.applicable) for w in (t4, c3)}
+    for a, b in pairwise(sorted({0, len(cols.n)} | cuts)):
+        shown = [t4.applicable[a], c3.applicable[a]]
+        template = "".join("%.12g,%s," if on else ",," for on in shown)
+        extra = [c[a:b] for on, pair in zip(shown, cells) if on for c in pair]
+        _write_rows(fh, "%d,%d,%d,%.12g,%.12g,%s," + template + "%.12g\n",
+                    [c[a:b] for c in head] + extra + [cols.log_perfecter[a:b]])
 
 
 def cmd_scan(args) -> int:
@@ -317,7 +302,8 @@ def cmd_scan(args) -> int:
             table = primes.build_table(args.n_to, limit_cap=cap)
             constants = bounds.default_constants()
             fh.write(SCAN_HEADER + "\n")
-            for cols in _scan_columns(table, args.n_from, args.n_to, args.step):
+            for cols in bounds.columns(table, "perfecter", args.n_from, args.n_to,
+                                       step=args.step):
                 _scan_rows(fh, table, constants, cols)
                 rows += len(cols.n)
     except OSError as exc:

@@ -2,8 +2,10 @@
 
 A :class:`PrimeTable` is built once by :func:`build_table` and is immutable
 afterwards, so it can be shared freely across threads and workers.  All
-queries (``pi``, ``theta``, ``nth_prime``, the deviation checks) answer from
-the precomputed arrays; no primality testing happens after construction.
+queries (``pi``, ``theta``, ``nth_prime``) answer from the precomputed
+arrays; no primality testing happens after construction.  The explicit
+theta and pi bounds are records of the bound registry (``bounds.BOUNDS``);
+``check_dusart_theta`` and ``check_dusart_pi`` return its reports.
 
 ``theta`` values come from an exact prefix sum over the prime logarithms:
 every prefix is the correctly rounded sum of its ``log p`` terms, as
@@ -18,23 +20,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .report import MARGINAL_SLACK, BoundReport
+from .report import BoundReport
 
 # Hard memory cap for sieve construction (bytes scale with limit/2).
 DEFAULT_LIMIT_CAP = 200_000_000
-
-# Coefficients of the explicit Chebyshev-theta deviation bounds checked by
-# check_dusart_theta:  |theta(x) - x| < (793/200) x / log^2 x   for x > 1
-# and                  |theta(x) - x| < 1717433 x / log^4 x.
-THETA_DEV_QUAD_NUM = 793
-THETA_DEV_QUAD_DEN = 200
-THETA_DEV_QUARTIC = 1717433
-
-# The pi(n) lower bound (n/log n)(1 + 1/log n) is only claimed from 599 on;
-# the upper bound (n/log n)(1 + 6381/(5000 log n)) is claimed for n >= 2.
-PI_LOWER_MIN_N = 599
-PI_UPPER_NUM = 6381
-PI_UPPER_DEN = 5000
 
 
 def kahan_sum(values: np.ndarray) -> float:
@@ -211,65 +200,24 @@ def nth_prime(table: PrimeTable, k: int) -> int:
     return int(table.primes[k - 1])
 
 
-def theta_deviation_bounds(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Right-hand sides (793/200) x / log^2 x and 1717433 x / log^4 x of the
-    theta-deviation bounds TB2 and TB4, elementwise over a float64 array."""
-    lg = np.log(x)
-    return (THETA_DEV_QUAD_NUM * x / (THETA_DEV_QUAD_DEN * lg * lg),
-            THETA_DEV_QUARTIC * x / lg**4)
-
-
-def pi_bounds(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Lower and upper pi(n) estimates (n/log n)(1 + 1/log n) and
-    (n/log n)(1 + 6381/(5000 log n)), elementwise over a float64 array."""
-    lg = np.log(n)
-    return (n / lg * (1 + 1 / lg),
-            n / lg * (1 + PI_UPPER_NUM / (PI_UPPER_DEN * lg)))
-
-
 def _at(formula, x: float) -> tuple[float, ...]:
     # a formula evaluated on a one-point array, as Python floats
     return tuple(float(v[0]) for v in formula(np.array([x], dtype=np.float64)))
 
 
 def check_dusart_theta(table: PrimeTable, x: float) -> tuple[BoundReport, BoundReport]:
-    """Evaluate both explicit theta-deviation inequalities at x.
+    """The registry's TB2 and TB4 reports at a real x >= 2: |theta(x) - x|
+    against (793/200) x / log^2 x and 1717433 x / log^4 x.
 
-    Returns the quadratic-denominator report (TB2) and the quartic one (TB4).
-    Both have lhs = |theta(x) - x|.
-
-    Raises:
-        DomainError: x < 2.
-        OutOfRangeError: x beyond the table limit.
-    """
-    if x < 2:
-        raise DomainError(f"deviation checks need x >= 2, got {x}")
-    lhs = abs(theta(table, x) - x)
-    rhs2, rhs4 = _at(theta_deviation_bounds, x)
-    rep2 = BoundReport("TB2", x, lhs, rhs2, rhs2 - lhs, lhs < rhs2,
-                       marginal=abs(rhs2 - lhs) < MARGINAL_SLACK)
-    rep4 = BoundReport("TB4", x, lhs, rhs4, rhs4 - lhs, lhs < rhs4,
-                       marginal=abs(rhs4 - lhs) < MARGINAL_SLACK)
-    return rep2, rep4
+    Raises DomainError (x < 2 or not finite) or OutOfRangeError (x beyond
+    the table limit)."""
+    from .bounds import evaluate_theorem  # bounds imports this module
+    return evaluate_theorem(table, "TB2", x), evaluate_theorem(table, "TB4", x)
 
 
-def check_dusart_pi(table: PrimeTable, n: int) -> tuple[BoundReport, BoundReport]:
-    """Evaluate the explicit pi(n) lower and upper bounds at n.
-
-    The lower bound is flagged not applicable for n < 599 but is still
-    evaluated and reported.
-
-    Raises:
-        DomainError: n < 2.
-        OutOfRangeError: n beyond the table limit.
-    """
-    if n < 2:
-        raise DomainError(f"pi bounds need n >= 2, got {n}")
-    count = pi(table, n)
-    lower, upper = _at(pi_bounds, n)
-    rep_lb = BoundReport("PI_LB", n, count, lower, count - lower,
-                         count >= lower, applicable=n >= PI_LOWER_MIN_N,
-                         marginal=abs(count - lower) < MARGINAL_SLACK)
-    rep_ub = BoundReport("PI_UB", n, count, upper, upper - count,
-                         count <= upper, marginal=abs(upper - count) < MARGINAL_SLACK)
-    return rep_lb, rep_ub
+def check_dusart_pi(table: PrimeTable, n: float) -> tuple[BoundReport, BoundReport]:
+    """The registry's PI_LB and PI_UB reports at a real n >= 2: pi(n)
+    against (n/log n)(1 + 1/log n), applicable from 599 on, and
+    (n/log n)(1 + 6381/(5000 log n)); raises as check_dusart_theta."""
+    from .bounds import evaluate_theorem  # bounds imports this module
+    return evaluate_theorem(table, "PI_LB", n), evaluate_theorem(table, "PI_UB", n)

@@ -232,6 +232,28 @@ class TestTheoremEvaluation:
         assert resolve_theorem_id("T1") == "T1_upper_upsilon"
         assert resolve_theorem_id("C3_upper_mean") == "C3_upper_mean"
 
+    @pytest.mark.parametrize("tid", ["T1", "T2", "T4", "T5", "S32"])
+    @pytest.mark.parametrize("n", [100.9, 2.5])
+    def test_non_integral_n_on_factorial_kinds(self, table_small, tid, n):
+        with pytest.raises(DomainError):
+            evaluate_theorem(table_small, tid, n)
+        assert evaluate_theorem(table_small, tid, 100.0) == evaluate_theorem(
+            table_small, tid, 100)
+
+    @pytest.mark.parametrize("tid", list(bounds.BOUNDS))
+    @pytest.mark.parametrize("n", [math.nan, math.inf, -math.inf])
+    def test_non_finite_n(self, table_small, tid, n):
+        with pytest.raises(DomainError):
+            evaluate_theorem(table_small, tid, n)
+
+    def test_real_n_on_theta_and_pi(self, table_small):
+        # only floor(n) enters theta and pi; the rhs and the deviation take n itself
+        rep = evaluate_theorem(table_small, "TB2", 2.5)
+        assert rep.n == 2.5 and rep.lhs == abs(math.log(2) - 2.5)
+        assert rep.rhs == rhs_value("TB2", 2.5)
+        rep = evaluate_theorem(table_small, "PI_UB", 10.9)
+        assert rep.lhs == 4 and rep.rhs == rhs_value("PI_UB", 10.9)
+
 
 class TestVerifyRange:
     def test_t1_from_3(self, table_small):
@@ -275,6 +297,14 @@ class TestVerifyRange:
         assert summary.all_hold  # points below 599 are reported, not counted
         assert summary.n_checked == 699
         assert summary.n_applicable == 102
+
+    @pytest.mark.parametrize("ends", [(2.5, 10.5), (2, 10.5), (2.5, 10),
+                                      (2, math.nan), (math.nan, 10), (2, math.inf)])
+    @pytest.mark.parametrize("tid", ["T1", "TB2", "PI_LB"])
+    def test_bad_ends(self, table_small, tid, ends):
+        with pytest.raises(DomainError):
+            verify_range(table_small, tid, *ends)
+        assert verify_range(table_small, tid, 2.0, 10.0) == verify_range(table_small, tid, 2, 10)
 
     def test_upsilon_matches_scanner(self, table_small):
         reports, _ = verify_range(table_small, "T1", 3, 500)
@@ -375,5 +405,6 @@ class TestSweepEngine:
             value = rhs_value(tid, n)
             assert type(value) is float
             assert value == window.rhs[i] == evaluate_theorem(table_small, tid, n).rhs
-        with pytest.raises(DomainError):
-            rhs_value(tid, 1)
+        for bad in (1, math.nan, math.inf, -math.inf, 10**400):
+            with pytest.raises(DomainError):
+                rhs_value(tid, bad)

@@ -3,6 +3,7 @@ import math
 import os
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -256,6 +257,19 @@ class TestConstants:
             main(["constants", "--tol", "tiny"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("tol", ["nan", "-1", "-inf"])
+    def test_tol_outside_its_domain(self, capsys, tol):
+        code, out, err = run(capsys, "constants", f"--tol={tol}")
+        assert code == 2
+        assert out == "" and "--tol" in err
+
+    @pytest.mark.parametrize("tol", ["0", "inf"])
+    def test_tol_edges_are_valid(self, capsys, tol):
+        code, out, _ = run(capsys, "constants", "--tol", tol)
+        ok = tol == "inf"  # the worst constant misses its 40-digit value a little
+        assert code == (0 if ok else 1)
+        assert out.splitlines()[-1].endswith("-> OK" if ok else "-> MISMATCH")
+
 
 class TestPerfecter:
     def test_small(self, capsys):
@@ -403,6 +417,25 @@ class TestScan:
                          "--step", "3", "--out", str(out))
         assert code == 0
         assert out.read_text() == reference_scan(table_big, 12_602_980, 12_603_000, 3)
+
+    @pytest.mark.parametrize("step", [1, 3])
+    def test_t4_cells_follow_the_registry(self, capsys, tmp_path, table_small,
+                                          monkeypatch, step):
+        t4 = bounds.BOUNDS["T4_lower_upsilon"]
+        monkeypatch.setitem(bounds.BOUNDS, t4.id, replace(t4, start=17, sense="<"))
+        out = tmp_path / "scan.csv"
+        code, _, _ = run(capsys, "scan", "--from", "2", "--to", "60",
+                         "--step", str(step), "--out", str(out))
+        assert code == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [int(r[0]) for r in rows] == list(range(2, 61, step))
+        for r in rows:
+            n, ups = int(r[0]), int(r[1])
+            if n < 17:
+                assert r[6:8] == ["", ""], n
+            else:
+                rhs = rhs_value("T4", n)
+                assert r[6:8] == [fmt(rhs), fmt(ups < rhs)], n
 
     def test_bad_range(self, capsys):
         code, _, _ = run(capsys, "scan", "--from", "1", "--to", "10",

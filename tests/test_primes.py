@@ -2,10 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from factprimes import (DomainError, OutOfRangeError, ResourceLimitError,
+from factprimes import (DomainError, OutOfRangeError, ResourceLimitError, bounds,
                         build_table, check_dusart_pi, check_dusart_theta,
-                        nth_prime, pi, primes, theta, theta_classed)
+                        evaluate_theorem, nth_prime, pi, primes, theta,
+                        theta_classed)
 from factprimes.primes import limb_prefix, log_limbs
 
 
@@ -162,9 +165,31 @@ class TestDusartPi:
         assert rep_lb.holds and rep_ub.holds
 
 
+@pytest.mark.parametrize("check", [check_dusart_theta, check_dusart_pi])
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, 1.5])
+def test_bad_x_is_a_domain_error(table_small, check, x):
+    with pytest.raises(DomainError):
+        check(table_small, x)
+
+
+def test_real_x_deviation(table_small):
+    # theta(2.5) = log 2, so the deviation is 2.5 - log 2, not that at 2
+    rep2, rep4 = check_dusart_theta(table_small, 2.5)
+    assert rep2.lhs == rep4.lhs == 2.5 - math.log(2)
+
+
+@given(st.one_of(st.integers(2, 10_000), st.floats(2, 10_000)))
+@settings(max_examples=200, deadline=None)
+def test_dusart_checks_are_registry_reports(table_small, x):
+    assert check_dusart_theta(table_small, x) == (
+        evaluate_theorem(table_small, "TB2", x), evaluate_theorem(table_small, "TB4", x))
+    assert check_dusart_pi(table_small, x) == (
+        evaluate_theorem(table_small, "PI_LB", x), evaluate_theorem(table_small, "PI_UB", x))
+
+
 def test_marginal_flags_follow_marginal_slack(table_small, monkeypatch):
     # all four slacks at n = 10 are below 1e6 in size, so that threshold flags all
-    monkeypatch.setattr(primes, "MARGINAL_SLACK", 1e6)
+    monkeypatch.setattr(bounds, "MARGINAL_SLACK", 1e6)
     reports = check_dusart_theta(table_small, 10) + check_dusart_pi(table_small, 10)
     assert all(r.marginal for r in reports)
     assert all(type(x) is float for r in reports for x in (r.rhs, r.slack))
