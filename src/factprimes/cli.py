@@ -82,15 +82,20 @@ def _write_rows(fh, template: str, columns: Sequence[np.ndarray]) -> None:
 
 
 def _sieve_cap(flag_value: int | None) -> int:
+    # a cap below 2 admits no sieve at all: a malformed argument, not a limit
     if flag_value is not None:
-        return flag_value
-    env = os.environ.get(MAX_SIEVE_ENV)
-    if env is not None:
+        source, cap = "--max-sieve", flag_value
+    else:
+        source, env = MAX_SIEVE_ENV, os.environ.get(MAX_SIEVE_ENV)
+        if env is None:
+            return DEFAULT_MAX_SIEVE
         try:
-            return int(env)
+            cap = int(env)
         except ValueError as exc:
             raise DomainError(f"{MAX_SIEVE_ENV} must be an integer, got {env!r}") from exc
-    return DEFAULT_MAX_SIEVE
+    if cap < 2:
+        raise DomainError(f"{source} must be >= 2, got {cap}")
+    return cap
 
 
 def _sieve_limit(needed: int, max_sieve: int | None) -> int:

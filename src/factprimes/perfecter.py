@@ -20,8 +20,9 @@ import numpy as np
 
 from .bounds import evaluate_theorem
 from .errors import DomainError, OutOfRangeError
-from .primes import PrimeTable
+from .primes import PrimeTable, _integer, limb_value, log_totals
 from .report import BoundReport
+from .upsilon import _anchor
 from .valuation import _odd_exponent_primes, is_prime, valuation_vector
 
 DEFAULT_EXACT_MAX_BITS = 4096
@@ -98,8 +99,8 @@ def squarefree_kernel(factored: Sequence[tuple[int, int]]) -> list[int]:
 
 
 def _log_sum(ps: np.ndarray) -> float:
-    # exactly rounded, so equal to the sweep's limb sums (primes.log_limbs)
-    return math.fsum(np.log(ps.astype(np.float64)))
+    # exactly rounded: math.fsum of the logs, bit for bit
+    return limb_value(log_totals(ps))
 
 
 def perfecter_factorial(table: PrimeTable, n: int, *,
@@ -107,23 +108,23 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
                         ) -> PerfecterResult:
     """Minimal m with m * n! a perfect square, for n >= 1.
 
-    log_value is the exactly rounded log-sum over the odd-exponent primes;
-    the exact product is materialized only while it fits in exact_max_bits.
+    odd_primes comes from the O(sqrt n) evaluation (upsilon._anchor), not
+    from one exponent per prime.  log_value is the exactly rounded log-sum
+    over the odd-exponent primes, math.fsum's value bit for bit; the exact
+    product is materialized only while it fits in exact_max_bits.
 
     Raises:
-        DomainError: n < 1 or exact_max_bits < 0.
+        DomainError: n not an integer, n < 1 or exact_max_bits < 0.
         OutOfRangeError: n beyond the table limit.
     """
+    n = _integer("n", n)
     if n < 1:
         raise DomainError(f"perfecter needs n >= 1, got {n}")
     if exact_max_bits < 0:
         raise DomainError(f"exact_max_bits must be >= 0, got {exact_max_bits}")
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    if n == 1:
-        return PerfecterResult(n=1, odd_primes=np.zeros(0, dtype=np.int64),
-                               log_value=0.0, exact_value=1)
-    odd = _odd_exponent_primes(table, n)
+    odd = _anchor(table, n, perfecter=True)[2]
     log_value = _log_sum(odd)
     # bit length of the product is log_value/log 2 up to rounding
     if log_value / math.log(2) <= exact_max_bits:

@@ -9,12 +9,15 @@ theta and pi bounds are records of the bound registry (``bounds.BOUNDS``);
 
 ``theta`` values come from an exact prefix sum over the prime logarithms:
 every prefix is the correctly rounded sum of its ``log p`` terms, as
-``math.fsum`` would return it (see :func:`log_limbs`).
+``math.fsum`` would return it (see :func:`log_limbs`).  The prefix is built
+on first use, since only ``theta`` and the theta bounds read it.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -22,7 +25,9 @@ import numpy as np
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
 from .report import BoundReport
 
-# Hard memory cap for sieve construction (bytes scale with limit/2).
+# Hard cap on the sieve limit.  build_table holds limit/2 bytes of flags
+# and 8 bytes a prime, about 190 MB at the cap (1e8 flags, 11.1e6 primes);
+# the first use of log_prefix adds 8 bytes a prime.
 DEFAULT_LIMIT_CAP = 200_000_000
 
 
@@ -81,17 +86,29 @@ def limb_value(totals: tuple[int, int]) -> float:
     return math.ldexp(float((totals[0] << _LIMB_BITS) + totals[1]), -_LOG_SCALE)
 
 
-def _kahan_prefix(values: np.ndarray) -> np.ndarray:
-    """Prefix sums of prime logarithms, each one correctly rounded.
+def log_totals(values: np.ndarray) -> tuple[int, int]:
+    """The limb totals of the logs of the integers values >= 2, which
+    limb_value rounds to math.fsum of those logs; block by block, so the
+    temporaries do not grow with len(values)."""
+    high = low = 0
+    for i in range(0, len(values), _PREFIX_BLOCK):
+        limbs = log_limbs(np.log(values[i:i + _PREFIX_BLOCK].astype(np.float64)))
+        high += int(limbs[0].sum())
+        low += int(limbs[1].sum())
+    return high, low
+
+
+def _kahan_prefix(primes: np.ndarray) -> np.ndarray:
+    """Prefix sums of the logarithms of primes, each one correctly rounded.
 
     Limb cumsums instead of a running float total, so ``out[i]`` equals
-    ``math.fsum(values[:i + 1])``.  Blocks keep the int64 temporaries small.
+    ``math.fsum(log(primes[:i + 1]))``.  Blocks keep the temporaries small.
     """
-    out = np.empty(len(values), dtype=np.float64)
+    out = np.empty(len(primes), dtype=np.float64)
     totals = (0, 0)
-    for i in range(0, len(values), _PREFIX_BLOCK):
-        out[i:i + _PREFIX_BLOCK], totals = limb_prefix(
-            *log_limbs(values[i:i + _PREFIX_BLOCK]), totals)
+    for i in range(0, len(primes), _PREFIX_BLOCK):
+        logs = np.log(primes[i:i + _PREFIX_BLOCK].astype(np.float64))
+        out[i:i + _PREFIX_BLOCK], totals = limb_prefix(*log_limbs(logs), totals)
     return out
 
 
@@ -99,13 +116,20 @@ def _kahan_prefix(values: np.ndarray) -> np.ndarray:
 class PrimeTable:
     """All primes up to ``limit`` with prefix sums of their logarithms.
 
-    ``log_prefix[i]`` equals ``sum(log(primes[j]) for j <= i)``.  Both
-    arrays are treated as read-only after construction.
+    ``log_prefix[i]`` equals ``sum(log(primes[j]) for j <= i)``, correctly
+    rounded; it is computed on first use.  Both arrays are read-only.  Two
+    threads that read ``log_prefix`` first at the same time may both
+    compute it, with the same result.
     """
 
     limit: int
     primes: np.ndarray
-    log_prefix: np.ndarray
+
+    @functools.cached_property
+    def log_prefix(self) -> np.ndarray:
+        prefix = _kahan_prefix(self.primes)
+        prefix.setflags(write=False)
+        return prefix
 
     def __len__(self) -> int:
         return len(self.primes)
@@ -117,49 +141,66 @@ class PrimeTable:
         return self.primes[:idx]
 
 
+# Flags turned into primes at a time by build_table.
+_SIEVE_BLOCK = 1 << 16
+
+
+def _integer(what: str, n) -> int:
+    """n as an int; a float, even an integral one, is refused."""
+    try:
+        return operator.index(n)
+    except TypeError:
+        raise DomainError(f"{what} must be an integer, got {n!r}") from None
+
+
 def build_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
     """Sieve all primes up to ``limit`` (inclusive) and build the table.
 
     Uses an odds-only sieve of Eratosthenes held in a byte array, so peak
-    memory is about limit/2 bytes plus the output arrays.
+    memory is about limit/2 bytes plus the output array: the primes are
+    written into an array of their exact count, block by block.
 
     Raises:
-        DomainError: limit < 2.
+        DomainError: limit not an integer, or limit < 2.
         ResourceLimitError: limit exceeds ``limit_cap``.
     """
+    limit = _integer("sieve limit", limit)
     if limit < 2:
         raise DomainError(f"sieve limit must be >= 2, got {limit}")
     if limit > limit_cap:
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds the configured cap {limit_cap}")
 
-    if limit == 2:
-        primes = np.array([2], dtype=np.int64)
-    else:
-        # flags[i] represents the odd number 3 + 2i
-        n_odd = (limit - 1) // 2
-        flags = np.ones(n_odd, dtype=bool)
-        for p in range(3, math.isqrt(limit) + 1, 2):
-            if flags[(p - 3) // 2]:
-                start = (p * p - 3) // 2
-                flags[start::p] = False
-        odd_primes = 3 + 2 * np.nonzero(flags)[0].astype(np.int64)
-        primes = np.concatenate((np.array([2], dtype=np.int64), odd_primes))
-
-    log_prefix = _kahan_prefix(np.log(primes.astype(np.float64)))
+    # flags[i] represents the odd number 3 + 2i
+    n_odd = (limit - 1) // 2
+    flags = np.ones(n_odd, dtype=bool)
+    for p in range(3, math.isqrt(limit) + 1, 2):
+        if flags[(p - 3) // 2]:
+            start = (p * p - 3) // 2
+            flags[start::p] = False
+    primes = np.empty(1 + int(np.count_nonzero(flags)), dtype=np.int64)
+    primes[0] = 2
+    k = 1
+    for lo in range(0, n_odd, _SIEVE_BLOCK):
+        idx = np.flatnonzero(flags[lo:lo + _SIEVE_BLOCK])
+        idx += lo
+        idx *= 2
+        idx += 3
+        primes[k:k + len(idx)] = idx
+        k += len(idx)
+    del flags
     primes.setflags(write=False)
-    log_prefix.setflags(write=False)
-    return PrimeTable(limit=limit, primes=primes, log_prefix=log_prefix)
+    return PrimeTable(limit=limit, primes=primes)
 
 
 def pi(table: PrimeTable, n: int) -> int:
-    """Number of primes <= n.
+    """Number of primes <= n, for real n.
 
     Raises:
-        DomainError: n < 0.
+        DomainError: n < 0 or nan.
         OutOfRangeError: n beyond the table limit.
     """
-    if n < 0:
+    if not n >= 0:  # nan too
         raise DomainError(f"pi is defined for n >= 0, got {n}")
     if n > table.limit:
         raise OutOfRangeError(f"pi({n}) exceeds table limit {table.limit}")
@@ -172,10 +213,10 @@ def theta(table: PrimeTable, x: float) -> float:
     Returns 0.0 for x < 2.  Accepts real x; only the integer part matters.
 
     Raises:
-        DomainError: x < 0.
+        DomainError: x < 0 or nan.
         OutOfRangeError: x beyond the table limit.
     """
-    if x < 0:
+    if not x >= 0:  # nan too
         raise DomainError(f"theta is defined for x >= 0, got {x}")
     if x > table.limit:
         raise OutOfRangeError(f"theta({x}) exceeds table limit {table.limit}")
@@ -189,9 +230,10 @@ def nth_prime(table: PrimeTable, k: int) -> int:
     """The k-th prime, 1-indexed (nth_prime(1) == 2).
 
     Raises:
-        DomainError: k < 1.
+        DomainError: k not an integer, or k < 1.
         OutOfRangeError: the table holds fewer than k primes.
     """
+    k = _integer("prime index", k)
     if k < 1:
         raise DomainError(f"prime index must be >= 1, got {k}")
     if k > len(table.primes):

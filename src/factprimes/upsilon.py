@@ -12,9 +12,17 @@ exactly what moves the decomposition of (n-1)! to that of n!).  That turns
 an exhaustive scan over [a, b] into one direct evaluation plus a segmented
 factor count over the window.  The same factor pass carries the set of
 primes with an odd exponent in n!, whose log-sum is the log of the minimal
-square perfecter (see factorial_windows).  Scattered points are evaluated
-directly, each from its own exponent vector, by the walker's anchor (see
-factorial_points); both yield the same Columns, bit for bit.
+square perfecter (see factorial_windows).
+
+A direct evaluation at n costs O(sqrt n), not one exponent per prime: with
+r = isqrt(n), every prime p > r has exponent n // p <= Q = n // (r + 1),
+and the primes with n // p = q are the table indices
+[pi(n // (q + 1)), pi(n // q)).  So
+    upsilon(n) = sum of v_p(n!) over p <= r + sum_{q=1..Q} pi(n // q) - Q pi(r),
+with all the pi values from one searchsorted, and the odd-exponent primes
+above r are those index runs for odd q.  The walker's anchor and scattered
+points (factorial_points) both use it, and yield the same Columns, bit for
+bit.
 """
 
 from __future__ import annotations
@@ -27,9 +35,10 @@ from typing import Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, FactprimesError, OutOfRangeError
-from .primes import PrimeTable, limb_prefix, limb_value, log_limbs, nth_prime, pi
+from .primes import (PrimeTable, _integer, limb_prefix, limb_value, log_limbs,
+                     log_totals, nth_prime, pi)
 from .special_functions import lambert_w
-from .valuation import _odd_exponent_primes, valuation_vector
+from .valuation import _legendre_exponents, valuation_vector
 
 # Below e^e the double logarithm is < 1 and the asymptotic location
 # formulas are meaningless; they are populated from this point on.
@@ -75,8 +84,19 @@ class MeanLocation:
 
 
 def upsilon_value(table: PrimeTable, n: int) -> int:
-    """Exact exponent sum of n! (fast path, no result object)."""
-    return int(valuation_vector(table, n).sum())
+    """Exact exponent sum of n! (fast path, no result object), at O(sqrt n)
+    cost.
+
+    Raises:
+        DomainError: n not an integer, or n < 2.
+        OutOfRangeError: n beyond the table limit.
+    """
+    n = _integer("n", n)
+    if n < 2:
+        raise DomainError(f"upsilon needs n >= 2, got {n}")
+    if n > table.limit:
+        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    return _anchor(table, n)[0]
 
 
 def upsilon(table: PrimeTable, n: int) -> UpsilonResult:
@@ -201,7 +221,7 @@ def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
                       *, perfecter: bool = False) -> Iterator[Columns]:
     """Columns for every n in [n_from, n_to], in windows of window points.
 
-    Anchored once at n_from - 1 with one valuation_vector; from there
+    Anchored once at n_from - 1 by the O(sqrt n) evaluation; from there
     upsilon(n) = upsilon(n-1) + Omega(n), and the odd-exponent set of n!
     changes from that of (n-1)! in the primes dividing n to an odd power.
     Both come from one strided factor pass per window.  With perfecter the
@@ -220,45 +240,62 @@ def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
     return _walk(table, n_from, n_to, window, perfecter)
 
 
-def _anchor(table: PrimeTable, n: int, perfecter: bool):
-    """upsilon(n), with perfecter the limb totals of the logs of the
-    odd-exponent primes of n!, and the exponent vector (empty at n = 1)."""
-    v = valuation_vector(table, n) if n >= 2 else np.zeros(0, np.int64)
-    totals = None
-    if perfecter:
-        high, low = log_limbs(np.log(
-            _odd_exponent_primes(table, n, v).astype(np.float64)))
-        totals = (int(high.sum()), int(low.sum()))
-    return int(v.sum()), totals, v
+def _anchor(table: PrimeTable, n: int, perfecter: bool = False):
+    """The O(sqrt n) evaluation at 1 <= n <= table.limit (see the module
+    docstring): upsilon(n), the exponent parities of the primes p <= isqrt(n)
+    and, with perfecter, the ascending primes with an odd exponent in n!."""
+    r = math.isqrt(n)
+    small = table.primes_up_to(r)
+    v = _legendre_exponents(small, n)
+    q_max = n // (r + 1)
+    pis = np.searchsorted(table.primes, n // np.arange(1, q_max + 1), side="right")
+    ups = int(v.sum()) + int(pis.sum()) - q_max * len(small)
+    parity = v & 1
+    if not perfecter:
+        return ups, parity, None
+    # odd q = 1, 3, ...: the run [pi(n // (q + 1)), pi(n // q)), clipped at pi(r)
+    ends = pis[::2]
+    starts = np.append(pis[1::2], len(small))[:len(ends)]
+    runs = np.flatnonzero(ends > starts)[::-1]  # ascending primes
+    k = int(np.count_nonzero(parity))
+    odd = np.empty(k + int((ends[runs] - starts[runs]).sum()), dtype=np.int64)
+    odd[:k] = small[parity == 1]
+    for a, b in zip(starts[runs].tolist(), ends[runs].tolist()):
+        odd[k:k + b - a] = table.primes[a:b]
+        k += b - a
+    return ups, parity, odd
 
 
 def factorial_points(table: PrimeTable, ns: np.ndarray, *,
                      perfecter: bool = False) -> Columns:
     """Columns at the ascending int64 points ns (2 <= n <= table.limit),
-    each point from its own exponent vector, freed before the next is
-    built: one valuation_vector a point, for points too far apart to walk.
-    The values equal factorial_windows' bit for bit."""
+    each point from its own O(sqrt n) evaluation (see _anchor), for points
+    too far apart to walk.  The values equal factorial_windows' bit for
+    bit."""
     if len(ns) and ns[0] < 2:
         raise DomainError(f"points must be >= 2, got {ns[0]}")
+    if len(ns) and ns[-1] > table.limit:
+        raise OutOfRangeError(f"n={ns[-1]} exceeds table limit {table.limit}")
     ups = np.empty(len(ns), dtype=np.int64)
     logs = np.empty(len(ns)) if perfecter else None
     for i, n in enumerate(ns.tolist()):
-        # [:2] drops the vector here: holding it while the next one is
-        # built made a 200-point log-spaced sweep 12% slower
-        ups[i], totals = _anchor(table, n, perfecter)[:2]
+        ups[i], _, odd = _anchor(table, n, perfecter)
         if perfecter:
-            logs[i] = limb_value(totals)
+            logs[i] = limb_value(log_totals(odd))
     return Columns(ns, ups, logs)
 
 
 def _walk(table, n_from, n_to, window, perfecter):
     root = math.isqrt(n_to)
-    ups_run, totals, v = _anchor(table, n_from - 1, perfecter)
-    odd = limbs = None
+    ups_run, parity, odd_primes = _anchor(table, n_from - 1, perfecter)
+    odd = limbs = totals = None
     if perfecter:
+        totals = log_totals(odd_primes)
+        del odd_primes
         small = table.primes_up_to(root)
-        odd = np.zeros(len(small), dtype=np.int64)
-        odd[:min(len(v), len(small))] = v[:len(small)] & 1
+        # above isqrt(n_from - 1) the exponent in (n_from - 1)! is (n_from - 1) // p
+        odd = ((n_from - 1) // small) & 1
+        odd[:len(parity)] = parity
         limbs = log_limbs(np.log(small.astype(np.float64)))
     for lo in range(n_from, n_to + 1, window):
         hi = min(lo + window - 1, n_to)

@@ -129,18 +129,6 @@ def factorial_valuation_oracle(n: int, p: int) -> int:
     return total
 
 
-def _int_kth_root(n: int, k: int) -> int:
-    """Largest integer r with r**k <= n (exact, no float edge cases)."""
-    if k == 1:
-        return n
-    r = round(n ** (1.0 / k))
-    while r > 0 and r**k > n:
-        r -= 1
-    while (r + 1) ** k <= n:
-        r += 1
-    return r
-
-
 def valuation_vector(table: PrimeTable, n: int) -> np.ndarray:
     """Exponents of every prime p <= n in n!, in ascending prime order.
 
@@ -154,18 +142,27 @@ def valuation_vector(table: PrimeTable, n: int) -> np.ndarray:
         raise DomainError(f"need n >= 2, got {n}")
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    ps = table.primes_up_to(n)
+    return _legendre_exponents(table.primes_up_to(n), n)
+
+
+def _legendre_exponents(ps: np.ndarray, n: int) -> np.ndarray:
+    """Exponents in n! of the ascending primes ps: sum of n // p^k over k."""
     v = n // ps
-    k = 2
-    while True:
-        r = _int_kth_root(n, k)
-        if r < 2:
-            break
-        idx = int(np.searchsorted(ps, r, side="right"))
-        if idx == 0:
-            break
-        v[:idx] += n // ps[:idx] ** k
-        k += 1
+    # p^2 <= n holds for a prefix of ps, and p^3 <= n for a prefix of that:
+    # few primes, but with many terms (22 more for p = 2 at 2e7), so those
+    # go in plain ints
+    sq = ps[:int(np.searchsorted(ps, math.isqrt(n), side="right"))]
+    m = n // (sq * sq)
+    v[:len(sq)] += m
+    deep = int(np.count_nonzero(m >= sq))
+    tail = []
+    for p, q in zip(sq[:deep].tolist(), m[:deep].tolist()):
+        e = 0
+        while q >= p:
+            q //= p
+            e += q
+        tail.append(e)
+    v[:deep] += np.array(tail, dtype=np.int64)
     return v
 
 

@@ -459,6 +459,18 @@ class TestEnvironment:
         code, _, err = run(capsys, "decompose", "1000")
         assert code == 2
 
+    @pytest.mark.parametrize("cap", ["-1", "0", "1"])
+    def test_cap_below_2_is_a_bad_argument(self, capsys, monkeypatch, tmp_path, cap):
+        # flag and environment alike: exit 2 with the reason, not "resource limit"
+        code, out, err = run(capsys, "decompose", "1000", "--max-sieve", cap)
+        assert (code, out) == (2, "") and "--max-sieve must be >= 2" in err
+        assert "resource limit" not in err
+        monkeypatch.setenv("FACTPRIMES_MAX_SIEVE", cap)
+        code, out, err = run(capsys, "scan", "--from", "2", "--to", "10",
+                             "--out", str(tmp_path / "x.csv"))
+        assert (code, out) == (2, "") and "FACTPRIMES_MAX_SIEVE must be >= 2" in err
+        assert not (tmp_path / "x.csv").exists()
+
 
 class TestRowWriter:
     # NaN, the infinities, -0.0 and subnormals included

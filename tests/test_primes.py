@@ -102,6 +102,26 @@ class TestQueries:
         with pytest.raises(OutOfRangeError):
             theta(table_small, table_small.limit + 0.5)
 
+    def test_pi_rejects_nan(self, table_small):
+        with pytest.raises(DomainError):
+            pi(table_small, math.nan)
+
+    def test_theta_rejects_nan(self, table_small):
+        with pytest.raises(DomainError):
+            theta(table_small, math.nan)
+
+    def test_nth_prime_rejects_non_integers(self, table_small):
+        for k in (2.5, 2.0, math.nan):
+            with pytest.raises(DomainError):
+                nth_prime(table_small, k)
+        assert nth_prime(table_small, np.int64(3)) == 5
+
+    def test_build_table_rejects_non_integers(self):
+        for limit in (1000.5, 1000.0, math.inf):
+            with pytest.raises(DomainError):
+                build_table(limit)
+        assert len(build_table(np.int64(1000))) == 168
+
     def test_nth_prime_examples(self, table_small):
         assert nth_prime(table_small, 1) == 2
         assert nth_prime(table_small, 4) == 7

@@ -9,10 +9,12 @@ from hypothesis import strategies as st
 
 from factprimes import (DomainError, FactprimesError, OutOfRangeError,
                         lambert_w_index, mean_location, mean_vs_Lth_prime,
-                        omega, perfecter_factorial, upsilon,
+                        omega, perfecter_factorial, pi, upsilon,
                         upsilon_asymptotic_gap, upsilon_range, upsilon_value,
                         valuation_vector)
-from factprimes.upsilon import factorial_points, omega_window
+from factprimes.upsilon import (_anchor, factorial_points, factorial_windows,
+                                omega_window)
+from factprimes.valuation import _odd_exponent_primes
 
 
 class TestUpsilon:
@@ -48,6 +50,16 @@ class TestUpsilon:
     def test_domain(self, table_small):
         with pytest.raises(DomainError):
             upsilon(table_small, 1)
+
+    def test_value_rejects_non_integers(self, table_small):
+        for n in (10.5, 10.0, math.nan):
+            with pytest.raises(DomainError):
+                upsilon_value(table_small, n)
+        assert upsilon_value(table_small, np.int64(10)) == 15
+        with pytest.raises(DomainError):
+            upsilon_value(table_small, 1)
+        with pytest.raises(OutOfRangeError):
+            upsilon_value(table_small, table_small.limit + 1)
 
 
 class TestRecurrence:
@@ -132,6 +144,56 @@ class TestFactorialPoints:
         with pytest.raises(OutOfRangeError):
             factorial_points(table_small, np.array([5, table_small.limit + 1],
                                                    dtype=np.int64))
+
+
+def check_point(table, n):
+    """The O(sqrt n) evaluation at n against one exponent per prime."""
+    v = valuation_vector(table, n)
+    ups, parity, odd = _anchor(table, n, perfecter=True)
+    assert ups == int(v.sum()) == upsilon_value(table, n), n
+    assert parity.tolist() == (v[:pi(table, math.isqrt(n))] & 1).tolist(), n
+    assert odd.tolist() == _odd_exponent_primes(table, n, v).tolist(), n
+    res = perfecter_factorial(table, n)
+    assert res.odd_primes.tolist() == odd.tolist(), n
+    assert res.log_value == math.fsum(np.log(odd.astype(np.float64)).tolist()), n
+
+
+class TestSqrtEvaluation:
+    @given(st.integers(2, 2_000_000))
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_points(self, table_big, n):
+        check_point(table_big, n)
+
+    @pytest.mark.parametrize("r", [1, 2, 3, 4, 5, 10, 31, 97, 1000, 1009, 1413, 1414])
+    def test_around_squares(self, table_big, r):
+        # r^2 - 1, r^2 and (r+1)^2 - 1 move isqrt(n) and Q = n // (r + 1)
+        for n in (r * r - 1, r * r, (r + 1) ** 2 - 1):
+            if n >= 2:
+                check_point(table_big, n)
+
+    def test_table_limit(self, table_small, table_big):
+        check_point(table_small, table_small.limit)
+        check_point(table_big, table_big.limit)
+
+    def test_at_one(self, table_small):
+        ups, parity, odd = _anchor(table_small, 1, perfecter=True)
+        assert (ups, len(parity), len(odd)) == (0, 0, 0)
+
+    @pytest.mark.parametrize("n_from,n_to", [
+        (100, 400),                    # primes 11..19 above isqrt(99) = 9
+        (1_000_000, 1_000_000 + 800),  # isqrt 999 -> 1000: no prime between
+        (14_401, 16_484),              # isqrt 120 -> 128; 14400 // 127 is odd
+    ])
+    def test_walk_from_below_the_root(self, table_big, n_from, n_to):
+        # the walker's anchor holds parities up to isqrt(n_from - 1) only;
+        # the primes up to isqrt(n_to) above it take (n_from - 1) // p
+        assert math.isqrt(n_from - 1) < math.isqrt(n_to)
+        walked = list(factorial_windows(table_big, n_from, n_to, 64, perfecter=True))
+        ns = np.arange(n_from, n_to + 1, dtype=np.int64)
+        direct = factorial_points(table_big, ns, perfecter=True)
+        assert np.concatenate([c.upsilon for c in walked]).tolist() == direct.upsilon.tolist()
+        assert (np.concatenate([c.log_perfecter for c in walked]).tolist()
+                == direct.log_perfecter.tolist())
 
 
 class TestMeanLocation:

@@ -89,6 +89,14 @@ class TestDecomposition:
             for p, vv in zip(ps, v):
                 assert legendre_valuation(n, int(p)).v == int(vv)
 
+    def test_deep_exponents_at_the_table_limit(self, table_big):
+        # the primes with p^3 <= n sum their terms past n // p^2 in plain ints
+        n = table_big.limit
+        v = valuation_vector(table_big, n)
+        deep = int(np.searchsorted(table_big.primes, round(n ** (1 / 3)), side="right"))
+        for i in range(deep + 3):
+            assert legendre_valuation(n, int(table_big.primes[i])).v == int(v[i]), i
+
 
 def test_exhaustive_pairwise_properties(table_small):
     """One pass over all n <= 1e4 checking, for every prime p <= n:
