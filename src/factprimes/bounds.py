@@ -45,7 +45,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .primes import PrimeTable
+from .primes import PrimeTable, _integer
 from .report import MARGINAL_SLACK, BoundReport
 from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
                                 exp_integral, integrate)
@@ -290,6 +290,7 @@ def s1(table: PrimeTable, n: int, *, exact: bool = False) -> float | Fraction:
         DomainError / OutOfRangeError: bad n.
         ResourceLimitError: exact requested beyond the cap.
     """
+    n = _integer("n", n)
     if n < 2:
         raise DomainError(f"s1 needs n >= 2, got {n}")
     if n > table.limit:
@@ -304,6 +305,7 @@ def s1(table: PrimeTable, n: int, *, exact: bool = False) -> float | Fraction:
 
 def s2(table: PrimeTable, n: int) -> float:
     """S2(n) = sum over primes p <= n of log n / log p."""
+    n = _integer("n", n)
     if n < 2:
         raise DomainError(f"s2 needs n >= 2, got {n}")
     if n > table.limit:
@@ -510,8 +512,9 @@ def _mean_holds(upper: bool, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
 def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: ConstantsTable
              ) -> Window:
     """Evaluate one bound at the points cols.n, from the exact left-hand
-    sides in cols (theta and pi read the table instead, and take float64
-    points too): the one place a verdict is decided."""
+    sides in cols (the mean reads cols.pi; theta and pi read the table
+    instead, and take float64 points too): the one place a verdict is
+    decided."""
     ns = cols.n
     nf = ns.astype(np.float64)
     if bound.lhs == "perfecter":
@@ -526,7 +529,7 @@ def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: Constant
         if bound.lhs == "upsilon":
             lhs = ups.astype(np.float64)
         else:
-            pis = np.searchsorted(table.primes, ns, side="right")
+            pis = cols.pi if bound.lhs == "mean" else table.count(ns)
             if bound.lhs == "mean":
                 lhs = ups / pis
             elif bound.lhs == "theta":
@@ -542,11 +545,12 @@ def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: Constant
                   np.abs(slack) < MARGINAL_SLACK)
 
 
-def _points(table: PrimeTable, lhs: str, ns: np.ndarray) -> Columns:
+def _points(table: PrimeTable, kinds: tuple[str, ...], ns: np.ndarray) -> Columns:
     # exact left-hand sides at the points ns; theta and pi read the table
-    if lhs in _REAL_LHS:
+    if set(kinds) <= set(_REAL_LHS):
         return Columns(ns, None, None)
-    return factorial_points(table, ns, perfecter=lhs == "perfecter")
+    return factorial_points(table, ns, perfecter="perfecter" in kinds,
+                            count="mean" in kinds)
 
 
 def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
@@ -558,11 +562,12 @@ def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
     return np.unique(np.clip(pts, n_from, n_to))
 
 
-def columns(table: PrimeTable, lhs: str, n_from: int, n_to: int, *, step: int = 1,
-            log_samples: int | None = None) -> Iterator[Columns]:
+def columns(table: PrimeTable, kinds: tuple[str, ...], n_from: int, n_to: int, *,
+            step: int = 1, log_samples: int | None = None) -> Iterator[Columns]:
     """The points n_from, n_from + step, ... <= n_to, or log_samples
-    log-spaced points, with their exact left-hand sides of kind lhs, in
-    ascending windows of at most WINDOW points.  Steps below WINDOW walk
+    log-spaced points, with the exact left-hand sides of the kinds kinds
+    (Bound.lhs values; pi(n) is computed only for "mean"), in ascending
+    windows of at most WINDOW points.  Steps below WINDOW walk
     factorial_windows and keep every step-th row; log-spaced points and
     wider steps go through factorial_points, since one anchor costs about
     as much as walking one window.  The arguments are checked here."""
@@ -573,19 +578,19 @@ def columns(table: PrimeTable, lhs: str, n_from: int, n_to: int, *, step: int = 
     if log_samples is not None:
         points = log_spaced(n_from, n_to, log_samples)
         chunks = (points[i:i + WINDOW] for i in range(0, len(points), WINDOW))
-    elif lhs in _REAL_LHS or step >= WINDOW:
+    elif set(kinds) <= set(_REAL_LHS) or step >= WINDOW:
         span = WINDOW * step
         chunks = (np.arange(lo, min(lo + span, n_to + 1), step, dtype=np.int64)
                   for lo in range(n_from, n_to + 1, span))
     else:
         walk = factorial_windows(table, n_from, n_to, WINDOW,
-                                 perfecter=lhs == "perfecter")
+                                 perfecter="perfecter" in kinds, count="mean" in kinds)
         if step == 1:
             return walk
         # walked windows are consecutive: every step-th row is a slice
         return (Columns(*(None if a is None else a[(n_from - cols.n[0]) % step::step]
                           for a in cols)) for cols in walk)
-    return (_points(table, lhs, ns) for ns in chunks)
+    return (_points(table, kinds, ns) for ns in chunks)
 
 
 def sweep(table: PrimeTable, theorem_id: str, n_from: int, n_to: int, *,
@@ -602,7 +607,7 @@ def sweep(table: PrimeTable, theorem_id: str, n_from: int, n_to: int, *,
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
     _check_range(table, n_from, n_to, bound)
-    cols = columns(table, bound.lhs, n_from, n_to, log_samples=log_samples)
+    cols = columns(table, (bound.lhs,), n_from, n_to, log_samples=log_samples)
     c = constants or default_constants()
     return (evaluate(table, bound, col, c) for col in cols)
 
@@ -628,7 +633,7 @@ def evaluate_theorem(table: PrimeTable, theorem_id: str, n: float,
     real = bound.lhs in _REAL_LHS
     _check_range(table, n, n, bound, real=real)
     ns = np.array([n], dtype=None if real else np.int64)
-    window = evaluate(table, bound, _points(table, bound.lhs, ns),
+    window = evaluate(table, bound, _points(table, (bound.lhs,), ns),
                       constants or default_constants())
     return _window_reports(bound.id, window)[0]
 

@@ -22,7 +22,7 @@ from .bounds import evaluate_theorem
 from .errors import DomainError, OutOfRangeError
 from .primes import PrimeTable, _integer, limb_value, log_totals
 from .report import BoundReport
-from .upsilon import _anchor
+from .upsilon import odd_exponent_primes
 from .valuation import _odd_exponent_primes, is_prime, valuation_vector
 
 DEFAULT_EXACT_MAX_BITS = 4096
@@ -108,10 +108,11 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
                         ) -> PerfecterResult:
     """Minimal m with m * n! a perfect square, for n >= 1.
 
-    odd_primes comes from the O(sqrt n) evaluation (upsilon._anchor), not
-    from one exponent per prime.  log_value is the exactly rounded log-sum
-    over the odd-exponent primes, math.fsum's value bit for bit; the exact
-    product is materialized only while it fits in exact_max_bits.
+    odd_primes comes from the O(sqrt n) evaluation
+    (upsilon.odd_exponent_primes), not from one exponent per prime.
+    log_value is the exactly rounded log-sum over the odd-exponent primes,
+    math.fsum's value bit for bit; the exact product is materialized only
+    while it fits in exact_max_bits.
 
     Raises:
         DomainError: n not an integer, n < 1 or exact_max_bits < 0.
@@ -124,7 +125,7 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
         raise DomainError(f"exact_max_bits must be >= 0, got {exact_max_bits}")
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    odd = _anchor(table, n, perfecter=True)[2]
+    odd = odd_exponent_primes(table, n)
     log_value = _log_sum(odd)
     # bit length of the product is log_value/log 2 up to rounding
     if log_value / math.log(2) <= exact_max_bits:
@@ -144,9 +145,10 @@ def theta_classed(table: PrimeTable, n: int, q: int) -> ThetaClassed:
     p <= n with v_p(n!) congruent to a mod q.  Empty classes sum to 0.
 
     Raises:
-        DomainError: n < 2 or q not prime.
+        DomainError: n not an integer, n < 2 or q not prime.
         OutOfRangeError: n beyond the table limit.
     """
+    n = _integer("n", n)
     if n < 2:
         raise DomainError(f"theta_classed needs n >= 2, got {n}")
     if q < 2 or not is_prime(q):
@@ -176,9 +178,10 @@ def bertrand_equivalence(table: PrimeTable, n: int) -> BertrandCheck:
     theta(n/2).
 
     Raises:
-        DomainError: n < 2.
+        DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
+    n = _integer("n", n)
     if n < 2:
         raise DomainError(f"needs n >= 2, got {n}")
     if n > table.limit:

@@ -1,16 +1,19 @@
 """Prime sieve table and the elementary counting functions built on it.
 
 A :class:`PrimeTable` is built once by :func:`build_table` and is immutable
-afterwards, so it can be shared freely across threads and workers.  All
-queries (``pi``, ``theta``, ``nth_prime``) answer from the precomputed
-arrays; no primality testing happens after construction.  The explicit
+afterwards, so it can be shared freely across threads and workers.  It holds
+the primes as an odd-only bit set with a rank directory: ``pi`` is one rank
+read and one popcount, ``nth_prime`` a search of the ranks, and a range of
+primes is unpacked from its own words only (``PrimeTable.primes_in``); no
+primality testing happens after construction.  The explicit
 theta and pi bounds are records of the bound registry (``bounds.BOUNDS``);
 ``check_dusart_theta`` and ``check_dusart_pi`` return its reports.
 
-``theta`` values come from an exact prefix sum over the prime logarithms:
-every prefix is the correctly rounded sum of its ``log p`` terms, as
-``math.fsum`` would return it (see :func:`log_limbs`).  The prefix is built
-on first use, since only ``theta`` and the theta bounds read it.
+Sums of prime logarithms are exact: every theta value is the correctly
+rounded sum of its ``log p`` terms, as ``math.fsum`` would return it (see
+:func:`log_limbs`).  ``theta`` reads the table's small log directory, and
+the theta bounds' sweeps the prefix of every prime; each is built on first
+use.
 """
 
 from __future__ import annotations
@@ -19,15 +22,16 @@ import functools
 import math
 import operator
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
 from .report import BoundReport
 
-# Hard cap on the sieve limit.  build_table holds limit/2 bytes of flags
-# and 8 bytes a prime, about 190 MB at the cap (1e8 flags, 11.1e6 primes);
-# the first use of log_prefix adds 8 bytes a prime.
+# Hard cap on the sieve limit.  The table takes 3/32 of a byte a number,
+# about 19 MB at the cap; the first use of primes or log_prefix adds 8 bytes
+# a prime each (11.1e6 primes at the cap).
 DEFAULT_LIMIT_CAP = 200_000_000
 
 
@@ -98,51 +102,172 @@ def log_totals(values: np.ndarray) -> tuple[int, int]:
     return high, low
 
 
-def _kahan_prefix(primes: np.ndarray) -> np.ndarray:
-    """Prefix sums of the logarithms of primes, each one correctly rounded.
+def _kahan_prefix(table: PrimeTable) -> np.ndarray:
+    """Prefix sums of the logarithms of the table's primes, each one
+    correctly rounded.
 
     Limb cumsums instead of a running float total, so ``out[i]`` equals
-    ``math.fsum(log(primes[:i + 1]))``.  Blocks keep the temporaries small.
+    ``math.fsum(log(primes[:i + 1]))``.  The primes are read in value
+    blocks of ``primes_in``, so the temporaries stay small and the
+    ``primes`` array is not built.
     """
-    out = np.empty(len(primes), dtype=np.float64)
+    out = np.empty(len(table), dtype=np.float64)
     totals = (0, 0)
-    for i in range(0, len(primes), _PREFIX_BLOCK):
-        logs = np.log(primes[i:i + _PREFIX_BLOCK].astype(np.float64))
-        out[i:i + _PREFIX_BLOCK], totals = limb_prefix(*log_limbs(logs), totals)
+    k = 0
+    for ps in prime_blocks(table, 0, table.limit):
+        out[k:k + len(ps)], totals = limb_prefix(
+            *log_limbs(np.log(ps.astype(np.float64))), totals)
+        k += len(ps)
     return out
+
+
+# Odd numbers per sieve segment, and per unpacked block of primes_in: a
+# multiple of 64, so segments fill whole words.
+_SEGMENT = 1 << 18
+_WORD_BITS = 64
 
 
 @dataclass(frozen=True)
 class PrimeTable:
-    """All primes up to ``limit`` with prefix sums of their logarithms.
+    """The primes up to ``limit`` as an odd-only bit set with a rank
+    directory.
 
-    ``log_prefix[i]`` equals ``sum(log(primes[j]) for j <= i)``, correctly
-    rounded; it is computed on first use.  Both arrays are read-only.  Two
-    threads that read ``log_prefix`` first at the same time may both
-    compute it, with the same result.
+    Bit j of ``bits`` (little-endian uint64 words) is set iff 2j + 1 is
+    prime.  ``rank[w]`` is the number of primes below 128 w + 1, the prime
+    2 included, so pi(x) is one rank read plus one popcount (``count``).
+    Together they take about limit/16 + limit/32 bytes.  ``primes_in``
+    lists the primes in a value range by unpacking only its words.
+
+    ``primes`` (every prime, int64) and ``log_prefix`` (``log_prefix[i]``
+    equals ``sum(log(primes[j]) for j <= i)``, correctly rounded) are
+    computed on first use, for callers that need all of them.  So is
+    ``log_directory``, the exact log-limb totals at every _LOG_STEP values
+    (about limit/512 bytes), through which ``log_totals_in`` sums the logs
+    of a value range while unpacking only its two ends.  Every array is
+    read-only.  Two threads that read a cached array first at the same
+    time may both compute it, with the same result.
     """
 
     limit: int
-    primes: np.ndarray
+    bits: np.ndarray
+    rank: np.ndarray
+
+    @functools.cached_property
+    def primes(self) -> np.ndarray:
+        primes = self.primes_in(0, self.limit)
+        primes.setflags(write=False)
+        return primes
 
     @functools.cached_property
     def log_prefix(self) -> np.ndarray:
-        prefix = _kahan_prefix(self.primes)
+        prefix = _kahan_prefix(self)
         prefix.setflags(write=False)
         return prefix
 
+    @functools.cached_property
+    def log_directory(self) -> tuple[np.ndarray, np.ndarray]:
+        # the limb totals of the primes <= k * _LOG_STEP, k = 0 .. limit // _LOG_STEP
+        size = self.limit // _LOG_STEP + 1
+        directory = (np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
+        running = [0, 0]
+        for lo in range(0, self.limit, _VALUE_BLOCK):
+            hi = min(lo + _VALUE_BLOCK, self.limit)
+            ps = self.primes_in(lo, hi)
+            marks = np.arange(lo + _LOG_STEP, hi + 1, _LOG_STEP)
+            at = np.searchsorted(ps, marks, side="right")
+            limbs = log_limbs(np.log(ps.astype(np.float64)))
+            for i in range(2):
+                sums = np.cumsum(np.concatenate(([running[i]], limbs[i])))
+                directory[i][marks // _LOG_STEP] = sums[at]
+                running[i] = int(sums[-1])
+        for a in directory:
+            a.setflags(write=False)
+        return directory
+
+    def log_totals_in(self, lo: int, hi: int) -> tuple[int, int]:
+        """The exact log-limb totals of the primes p with lo < p <= hi
+        (0 <= lo <= hi <= limit), which limb_value rounds to math.fsum of
+        their logs: two directory reads, and the primes of at most
+        _LOG_STEP values unpacked at each end."""
+        high = low = 0
+        for x, sign in ((hi, 1), (lo, -1)):
+            k = x // _LOG_STEP
+            h, l = log_totals(self.primes_in(k * _LOG_STEP, x))
+            high += sign * (int(self.log_directory[0][k]) + h)
+            low += sign * (int(self.log_directory[1][k]) + l)
+        return high, low
+
     def __len__(self) -> int:
-        return len(self.primes)
+        return self._pi(self.limit)
+
+    def _pi(self, x: int) -> int:
+        # pi(x) for one int 0 <= x <= limit, in Python ints
+        if x < 2:
+            return 0
+        j = (x - 1) >> 1
+        word = int(self.bits[j >> 6]) & ((2 << (j & 63)) - 1)
+        return int(self.rank[j >> 6]) + word.bit_count()
+
+    def count(self, x: np.ndarray) -> np.ndarray:
+        """pi(x), elementwise, for a 1-D int or float array of
+        0 <= x <= limit; a real x counts the primes up to floor(x)."""
+        j = (np.floor(x) if x.dtype.kind == "f" else x).astype(np.int64)
+        j -= 1
+        j >>= 1
+        np.maximum(j, 0, out=j)  # x < 2 is set to 0 below
+        w = j >> 6
+        j &= 63
+        j ^= 63  # shifting a word left by 63 - (j & 63) keeps bits 0 .. j & 63
+        below = self.bits[w]
+        below <<= j.view(np.uint64)
+        pis = self.rank[w].astype(np.int64)
+        pis += np.bitwise_count(below)
+        pis *= x >= 2
+        return pis
+
+    def primes_in(self, lo: int, hi: int) -> np.ndarray:
+        """The primes p with lo < p <= hi (clipped to [0, limit]), ascending,
+        as a new int64 array of their exact count.  Only the words of
+        (lo, hi] are unpacked, _SEGMENT bits at a time."""
+        lo, hi = max(int(lo), 0), min(int(hi), self.limit)
+        if hi <= lo:
+            return np.empty(0, dtype=np.int64)
+        out = np.empty(self._pi(hi) - self._pi(lo), dtype=np.int64)
+        k = 0
+        if lo < 2 <= hi:
+            out[0] = 2
+            k = 1
+        j_hi = (hi + 1) // 2  # the odd 2j + 1 in (lo, hi] have (lo + 1) // 2 <= j < j_hi
+        for a in range((lo + 1) // 2, j_hi, _SEGMENT):
+            b = min(a + _SEGMENT, j_hi)
+            w = a // _WORD_BITS
+            flags = np.unpackbits(self.bits[w:-(-b // _WORD_BITS)].view(np.uint8),
+                                  bitorder="little").view(bool)  # nonzero is faster on bool
+            idx = np.flatnonzero(flags[a - w * _WORD_BITS:b - w * _WORD_BITS])
+            idx += a
+            idx *= 2
+            idx += 1
+            out[k:k + len(idx)] = idx
+            k += len(idx)
+        return out
 
     def primes_up_to(self, n: float) -> np.ndarray:
-        """View of all table primes <= n (n may exceed the limit harmlessly
-        only when the caller has already validated the range)."""
-        idx = int(np.searchsorted(self.primes, math.floor(n), side="right"))
-        return self.primes[:idx]
+        """All table primes <= n, as a new int64 array."""
+        return self.primes_in(0, math.floor(n))
 
 
-# Flags turned into primes at a time by build_table.
-_SIEVE_BLOCK = 1 << 16
+# Values per block of prime_blocks: at most 23000 primes (pi(2^18) = 23000),
+# so a block's log limbs and their sums stay below a megabyte.
+_VALUE_BLOCK = 1 << 18
+# Values per entry of PrimeTable.log_directory: 64 words of bits.
+_LOG_STEP = 2 * _WORD_BITS * 64
+
+
+def prime_blocks(table: PrimeTable, lo: int, hi: int) -> Iterator[np.ndarray]:
+    """The primes in (lo, hi], ascending, in blocks of primes_in over
+    _VALUE_BLOCK values, so that a long range is never held at once."""
+    for a in range(lo, hi, _VALUE_BLOCK):
+        yield table.primes_in(a, min(a + _VALUE_BLOCK, hi))
 
 
 def _integer(what: str, n) -> int:
@@ -156,9 +281,10 @@ def _integer(what: str, n) -> int:
 def build_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
     """Sieve all primes up to ``limit`` (inclusive) and build the table.
 
-    Uses an odds-only sieve of Eratosthenes held in a byte array, so peak
-    memory is about limit/2 bytes plus the output array: the primes are
-    written into an array of their exact count, block by block.
+    A segmented odds-only sieve of Eratosthenes: each segment of _SEGMENT
+    odd numbers is sieved as bytes by the primes up to isqrt(limit), packed
+    into bits and counted into the rank directory, so the peak is the table
+    itself plus one segment.
 
     Raises:
         DomainError: limit not an integer, or limit < 2.
@@ -171,26 +297,44 @@ def build_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable
         raise ResourceLimitError(
             f"sieve limit {limit} exceeds the configured cap {limit_cap}")
 
-    # flags[i] represents the odd number 3 + 2i
-    n_odd = (limit - 1) // 2
-    flags = np.ones(n_odd, dtype=bool)
-    for p in range(3, math.isqrt(limit) + 1, 2):
-        if flags[(p - 3) // 2]:
-            start = (p * p - 3) // 2
-            flags[start::p] = False
-    primes = np.empty(1 + int(np.count_nonzero(flags)), dtype=np.int64)
-    primes[0] = 2
-    k = 1
-    for lo in range(0, n_odd, _SIEVE_BLOCK):
-        idx = np.flatnonzero(flags[lo:lo + _SIEVE_BLOCK])
-        idx += lo
-        idx *= 2
-        idx += 3
-        primes[k:k + len(idx)] = idx
-        k += len(idx)
-    del flags
-    primes.setflags(write=False)
-    return PrimeTable(limit=limit, primes=primes)
+    root = math.isqrt(limit)
+    small = np.ones(root + 1, dtype=bool)
+    small[:2] = False
+    for p in range(2, math.isqrt(root) + 1):
+        if small[p]:
+            small[p * p::p] = False
+    base = np.flatnonzero(small)[1:].tolist()  # the odd primes up to root
+
+    n_bits = (limit + 1) // 2  # bit j stands for 2j + 1 <= limit
+    n_words = -(-n_bits // _WORD_BITS)
+    bits = np.empty(n_words, dtype=np.uint64)
+    rank = np.empty(n_words, dtype=np.int32)
+    segment = np.empty(min(_SEGMENT, n_words * _WORD_BITS), dtype=bool)
+    running = 1  # the prime 2
+    for a in range(0, n_bits, _SEGMENT):
+        size = min(_SEGMENT, n_bits - a)
+        segment[:] = True
+        segment[size:] = False
+        if a == 0:
+            segment[0] = False  # 1 is not prime
+        for p in base:
+            # the odd multiples of p from p^2 on have j = (p*p - 1)/2 + k p
+            first = (p * p - 1) // 2
+            if first >= a + size:
+                break
+            segment[max(first, a + ((p - 1) // 2 - a) % p) - a:size:p] = False
+        words = np.packbits(segment[:-(-size // _WORD_BITS) * _WORD_BITS],
+                            bitorder="little").view(np.uint64)
+        w = a // _WORD_BITS
+        bits[w:w + len(words)] = words
+        counts = np.bitwise_count(words)
+        rank[w] = running
+        np.cumsum(counts[:-1], dtype=np.int32, out=rank[w + 1:w + len(words)])
+        rank[w + 1:w + len(words)] += running
+        running += int(counts.sum(dtype=np.int64))
+    bits.setflags(write=False)
+    rank.setflags(write=False)
+    return PrimeTable(limit=limit, bits=bits, rank=rank)
 
 
 def pi(table: PrimeTable, n: int) -> int:
@@ -204,11 +348,12 @@ def pi(table: PrimeTable, n: int) -> int:
         raise DomainError(f"pi is defined for n >= 0, got {n}")
     if n > table.limit:
         raise OutOfRangeError(f"pi({n}) exceeds table limit {table.limit}")
-    return int(np.searchsorted(table.primes, n, side="right"))
+    return table._pi(math.floor(n))
 
 
 def theta(table: PrimeTable, x: float) -> float:
-    """Chebyshev theta: sum of log p over primes p <= x.
+    """Chebyshev theta: sum of log p over primes p <= x, correctly rounded
+    (PrimeTable.log_totals_in).
 
     Returns 0.0 for x < 2.  Accepts real x; only the integer part matters.
 
@@ -220,10 +365,7 @@ def theta(table: PrimeTable, x: float) -> float:
         raise DomainError(f"theta is defined for x >= 0, got {x}")
     if x > table.limit:
         raise OutOfRangeError(f"theta({x}) exceeds table limit {table.limit}")
-    idx = int(np.searchsorted(table.primes, math.floor(x), side="right"))
-    if idx == 0:
-        return 0.0
-    return float(table.log_prefix[idx - 1])
+    return limb_value(table.log_totals_in(0, math.floor(x)))
 
 
 def nth_prime(table: PrimeTable, k: int) -> int:
@@ -236,10 +378,16 @@ def nth_prime(table: PrimeTable, k: int) -> int:
     k = _integer("prime index", k)
     if k < 1:
         raise DomainError(f"prime index must be >= 1, got {k}")
-    if k > len(table.primes):
+    if k > len(table):
         raise OutOfRangeError(
-            f"table up to {table.limit} holds only {len(table.primes)} primes")
-    return int(table.primes[k - 1])
+            f"table up to {table.limit} holds only {len(table)} primes")
+    if k == 1:
+        return 2
+    # the word holding the k-th prime, then its bit among the word's set bits
+    w = int(np.searchsorted(table.rank, k, side="left")) - 1
+    flags = np.unpackbits(table.bits[w:w + 1].view(np.uint8), bitorder="little")
+    j = w * _WORD_BITS + int(np.flatnonzero(flags)[k - int(table.rank[w]) - 1])
+    return 2 * j + 1
 
 
 def _at(formula, x: float) -> tuple[float, ...]:

@@ -16,17 +16,18 @@ square perfecter (see factorial_windows).
 
 A direct evaluation at n costs O(sqrt n), not one exponent per prime: with
 r = isqrt(n), every prime p > r has exponent n // p <= Q = n // (r + 1),
-and the primes with n // p = q are the table indices
-[pi(n // (q + 1)), pi(n // q)).  So
+and the primes with n // p = q are those in (n // (q + 1), n // q].  So
     upsilon(n) = sum of v_p(n!) over p <= r + sum_{q=1..Q} pi(n // q) - Q pi(r),
-with all the pi values from one searchsorted, and the odd-exponent primes
-above r are those index runs for odd q.  The walker's anchor and scattered
-points (factorial_points) both use it, and yield the same Columns, bit for
-bit.
+with all the pi values from one vectorized PrimeTable.count, and the
+odd-exponent primes above r are the primes in those value runs for odd q.
+The walker's anchor and scattered points (factorial_points) both use it,
+and yield the same Columns, bit for bit.  pi(n) itself is carried along a
+walk: Omega(m) == 1 exactly when m is prime.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -36,7 +37,7 @@ import numpy as np
 
 from .errors import DomainError, FactprimesError, OutOfRangeError
 from .primes import (PrimeTable, _integer, limb_prefix, limb_value, log_limbs,
-                     log_totals, nth_prime, pi)
+                     log_totals, nth_prime, pi, prime_blocks)
 from .special_functions import lambert_w
 from .valuation import _legendre_exponents, valuation_vector
 
@@ -196,9 +197,10 @@ def omega_window(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     most one large prime factor.
 
     Raises:
-        DomainError: lo < 2 or lo > hi.
+        DomainError: lo or hi not an integer, lo < 2 or lo > hi.
         OutOfRangeError: the table cannot certify primes up to sqrt(hi).
     """
+    lo, hi = _integer("lo", lo), _integer("hi", hi)
     if lo < 2 or lo > hi:
         raise DomainError(f"bad window [{lo}, {hi}]")
     root = math.isqrt(hi)
@@ -210,15 +212,18 @@ def omega_window(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
 
 class Columns(NamedTuple):
     """Exact left-hand sides at ascending n: the exponent sum of n! and,
-    when asked for, the log of its minimal square perfecter."""
+    when asked for, the log of its minimal square perfecter and pi(n)
+    (int32, as PrimeTable.rank)."""
 
     n: np.ndarray
     upsilon: np.ndarray
     log_perfecter: np.ndarray | None
+    pi: np.ndarray | None = None
 
 
 def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
-                      *, perfecter: bool = False) -> Iterator[Columns]:
+                      *, perfecter: bool = False, count: bool = False
+                      ) -> Iterator[Columns]:
     """Columns for every n in [n_from, n_to], in windows of window points.
 
     Anchored once at n_from - 1 by the O(sqrt n) evaluation; from there
@@ -227,7 +232,8 @@ def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
     Both come from one strided factor pass per window.  With perfecter the
     log-sum over the odd-exponent set is carried in exact limbs (see
     primes.log_limbs), so every value is math.fsum over the same logs, bit
-    for bit.  The arguments are checked when this is called.
+    for bit.  With count, pi(n) is carried too: it grows by one where
+    Omega(n) == 1.  The arguments are checked when this is called.
 
     Raises:
         DomainError: n_from < 2 or an empty range.
@@ -237,37 +243,83 @@ def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
         raise DomainError(f"bad range [{n_from}, {n_to}]")
     if n_to > table.limit:
         raise OutOfRangeError(f"n_to={n_to} exceeds table limit {table.limit}")
-    return _walk(table, n_from, n_to, window, perfecter)
+    return _walk(table, n_from, n_to, window, perfecter, count)
+
+
+# Above isqrt(n), the primes with n // p = q are the value run
+# (n // (q + 1), n // q], of about n / q^2 values.  Runs of at least
+# _RUN_SPAN values (two log-directory steps) are summed through
+# PrimeTable.log_totals_in; below them, primes are read one by one with
+# their n // p.
+_RUN_SPAN = 1 << 14
 
 
 def _anchor(table: PrimeTable, n: int, perfecter: bool = False):
     """The O(sqrt n) evaluation at 1 <= n <= table.limit (see the module
-    docstring): upsilon(n), the exponent parities of the primes p <= isqrt(n)
-    and, with perfecter, the ascending primes with an odd exponent in n!."""
+    docstring): upsilon(n), the exponent parities of the primes p <= isqrt(n),
+    pi(n) and, with perfecter, the log-limb totals of the primes with an odd
+    exponent in n!; the runs of those come from PrimeTable.log_totals_in, so
+    no array of them is held."""
     r = math.isqrt(n)
     small = table.primes_up_to(r)
     v = _legendre_exponents(small, n)
     q_max = n // (r + 1)
-    pis = np.searchsorted(table.primes, n // np.arange(1, q_max + 1), side="right")
+    pis = table.count(n // np.arange(1, q_max + 1))
     ups = int(v.sum()) + int(pis.sum()) - q_max * len(small)
     parity = v & 1
-    if not perfecter:
-        return ups, parity, None
-    # odd q = 1, 3, ...: the run [pi(n // (q + 1)), pi(n // q)), clipped at pi(r)
-    ends = pis[::2]
-    starts = np.append(pis[1::2], len(small))[:len(ends)]
-    runs = np.flatnonzero(ends > starts)[::-1]  # ascending primes
-    k = int(np.count_nonzero(parity))
-    odd = np.empty(k + int((ends[runs] - starts[runs]).sum()), dtype=np.int64)
-    odd[:k] = small[parity == 1]
-    for a, b in zip(starts[runs].tolist(), ends[runs].tolist()):
-        odd[k:k + b - a] = table.primes[a:b]
-        k += b - a
-    return ups, parity, odd
+    pi_n = int(pis[0]) if q_max else 0
+    totals = None
+    if perfecter:
+        parts = [log_totals(ps) for ps in _odd_exponent_blocks(table, n, small, parity)]
+        parts += [table.log_totals_in(lo, hi) for lo, hi in _odd_runs(n)[1]]
+        totals = tuple(map(sum, zip(*parts)))
+    return ups, parity, pi_n, totals
+
+
+def _odd_runs(n: int) -> tuple[int, list[tuple[int, int]]]:
+    """The cut c >= r = isqrt(n) such that the primes in (c, n] have
+    n // p <= q0 = isqrt(n // _RUN_SPAN), and the ascending value runs
+    (lo, hi] above c whose primes have n // p odd."""
+    r = math.isqrt(n)
+    q0 = math.isqrt(n // _RUN_SPAN)
+    cut = max(r, n // (q0 + 1))
+    return cut, [(max(cut, n // (q + 1)), n // q)
+                 for q in range(q0 - 1 + q0 % 2, 0, -2)]  # odd q, descending
+
+
+def _odd_exponent_blocks(table: PrimeTable, n: int, small: np.ndarray,
+                         parity: np.ndarray) -> Iterator[np.ndarray]:
+    """The primes up to the cut of _odd_runs with an odd exponent in n!,
+    ascending, in blocks: those up to isqrt(n) (small, with the exponent
+    parities parity), then those above with n // p odd."""
+    yield small[parity == 1]
+    for ps in prime_blocks(table, math.isqrt(n), _odd_runs(n)[0]):
+        yield ps[(n // ps) & 1 == 1]
+
+
+def odd_exponent_primes(table: PrimeTable, n: int) -> np.ndarray:
+    """The ascending int64 array of the primes with an odd exponent in n!,
+    for 1 <= n <= table.limit, filled block by block into an array of its
+    exact size, which pi counts: the primes up to r = isqrt(n) by their
+    exponent parities, then those in (max(r, n // (q + 1)), n // q] for odd
+    q."""
+    r = math.isqrt(n)
+    small = table.primes_up_to(r)
+    parity = _legendre_exponents(small, n) & 1
+    qs = np.arange(1, n // (r + 1) + 1, 2)
+    size = int(np.count_nonzero(parity)) + int(
+        (table.count(n // qs) - table.count(np.maximum(n // (qs + 1), r))).sum())
+    odd = np.empty(size, dtype=np.int64)
+    k = 0
+    runs = (ps for lo, hi in _odd_runs(n)[1] for ps in prime_blocks(table, lo, hi))
+    for ps in itertools.chain(_odd_exponent_blocks(table, n, small, parity), runs):
+        odd[k:k + len(ps)] = ps
+        k += len(ps)
+    return odd
 
 
 def factorial_points(table: PrimeTable, ns: np.ndarray, *,
-                     perfecter: bool = False) -> Columns:
+                     perfecter: bool = False, count: bool = False) -> Columns:
     """Columns at the ascending int64 points ns (2 <= n <= table.limit),
     each point from its own O(sqrt n) evaluation (see _anchor), for points
     too far apart to walk.  The values equal factorial_windows' bit for
@@ -278,20 +330,21 @@ def factorial_points(table: PrimeTable, ns: np.ndarray, *,
         raise OutOfRangeError(f"n={ns[-1]} exceeds table limit {table.limit}")
     ups = np.empty(len(ns), dtype=np.int64)
     logs = np.empty(len(ns)) if perfecter else None
+    pis = np.empty(len(ns), dtype=np.int32) if count else None
     for i, n in enumerate(ns.tolist()):
-        ups[i], _, odd = _anchor(table, n, perfecter)
+        ups[i], _, pi_n, totals = _anchor(table, n, perfecter)
         if perfecter:
-            logs[i] = limb_value(log_totals(odd))
-    return Columns(ns, ups, logs)
+            logs[i] = limb_value(totals)
+        if count:
+            pis[i] = pi_n
+    return Columns(ns, ups, logs, pis)
 
 
-def _walk(table, n_from, n_to, window, perfecter):
+def _walk(table, n_from, n_to, window, perfecter, count):
     root = math.isqrt(n_to)
-    ups_run, parity, odd_primes = _anchor(table, n_from - 1, perfecter)
-    odd = limbs = totals = None
+    ups_run, parity, pi_run, totals = _anchor(table, n_from - 1, perfecter)
+    odd = limbs = None
     if perfecter:
-        totals = log_totals(odd_primes)
-        del odd_primes
         small = table.primes_up_to(root)
         # above isqrt(n_from - 1) the exponent in (n_from - 1)! is (n_from - 1) // p
         odd = ((n_from - 1) // small) & 1
@@ -300,12 +353,18 @@ def _walk(table, n_from, n_to, window, perfecter):
     for lo in range(n_from, n_to + 1, window):
         hi = min(lo + window - 1, n_to)
         omega, deltas = _factor_pass(table, lo, hi, root, odd, limbs)
-        ups = ups_run + np.cumsum(omega)
+        ups = np.cumsum(omega)
+        ups += ups_run
         ups_run = int(ups[-1])
-        logs = None
+        logs = pis = None
         if perfecter:
             logs, totals = limb_prefix(*deltas, totals)
-        yield Columns(np.arange(lo, hi + 1, dtype=np.int64), ups, logs)
+        if count:
+            pis = np.cumsum(omega == 1, dtype=np.int32)
+            pis += pi_run
+            pi_run = int(pis[-1])
+        del omega, deltas  # not held while the window is out
+        yield Columns(np.arange(lo, hi + 1, dtype=np.int64), ups, logs, pis)
 
 
 def upsilon_range(table: PrimeTable, n_from: int, n_to: int
@@ -318,9 +377,8 @@ def upsilon_range(table: PrimeTable, n_from: int, n_to: int
         DomainError: n_from < 2 or empty range.
         OutOfRangeError: n_to beyond the table limit.
     """
-    (cols,) = factorial_windows(table, n_from, n_to, n_to - n_from + 1)
-    pis = np.searchsorted(table.primes, cols.n, side="right").astype(np.int64)
-    return cols.n, cols.upsilon, pis
+    (cols,) = factorial_windows(table, n_from, n_to, n_to - n_from + 1, count=True)
+    return cols.n, cols.upsilon, cols.pi.astype(np.int64)
 
 
 def mean_location(table: PrimeTable, n: int) -> MeanLocation:
@@ -332,10 +390,11 @@ def mean_location(table: PrimeTable, n: int) -> MeanLocation:
     binary-search variant would rely on.
 
     Raises:
-        DomainError: n < 3.
+        DomainError: n not an integer, or n < 3.
         OutOfRangeError: n beyond the table limit.
         FactprimesError: the exponents are not nonincreasing in p.
     """
+    n = _integer("n", n)
     if n < 3:
         raise DomainError(f"mean_location needs n >= 3, got {n}")
     v = valuation_vector(table, n)
@@ -345,8 +404,7 @@ def mean_location(table: PrimeTable, n: int) -> MeanLocation:
     pi_n = len(v)
     dev = np.abs(v * pi_n - ups)
     k_star = int(np.argmin(dev))  # argmin returns the first, i.e. smallest p
-    ps = table.primes_up_to(n)
-    p_star = int(ps[k_star])
+    p_star = nth_prime(table, k_star + 1)
     v_star = int(v[k_star])
 
     p_L = nth_prime(table, int(math.log(n)))

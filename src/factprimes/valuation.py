@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .primes import PrimeTable
+from .primes import PrimeTable, _integer
 
 # The brute-force oracle does O(n) factor extractions; keep it honest.
 ORACLE_CAP = 100_000
@@ -38,6 +38,7 @@ def is_prime(n: int) -> bool:
 
 def digit_sum(n: int, base: int) -> int:
     """Sum of the digits of n written in the given base (base >= 2)."""
+    n = _integer("n", n)
     if base < 2:
         raise DomainError(f"base must be >= 2, got {base}")
     if n < 0:
@@ -55,6 +56,7 @@ def omega(n: int) -> int:
     Trial division; independent of any sieve table, so it can serve as an
     oracle against table-backed computations.
     """
+    n = _integer("n", n)
     if n < 1:
         raise DomainError(f"omega needs n >= 1, got {n}")
     count = 0
@@ -89,8 +91,9 @@ def legendre_valuation(n: int, p: int) -> Valuation:
     every exponent is 0.
 
     Raises:
-        DomainError: n < 0, or p is not prime.
+        DomainError: n not an integer, n < 0, or p is not prime.
     """
+    n = _integer("n", n)
     if n < 0:
         raise DomainError(f"n must be >= 0, got {n}")
     if p < 2 or not is_prime(p):
@@ -132,12 +135,14 @@ def factorial_valuation_oracle(n: int, p: int) -> int:
 def valuation_vector(table: PrimeTable, n: int) -> np.ndarray:
     """Exponents of every prime p <= n in n!, in ascending prime order.
 
-    Vectorized over the table's prime array; exact int64 arithmetic (the
+    Vectorized over the table's primes up to n; exact int64 arithmetic (the
     powers p^k that enter never exceed n, so nothing can overflow).
 
     Raises:
+        DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
+    n = _integer("n", n)
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if n > table.limit:
@@ -205,11 +210,11 @@ def full_decomposition(table: PrimeTable, n: int) -> ValuationProfile:
     """Prime decomposition of n! with one entry per prime <= n.
 
     Raises:
-        DomainError: n < 2.
+        DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
     v = valuation_vector(table, n)
-    ps = table.primes_up_to(n).copy()
+    ps = table.primes_up_to(n)
     v.setflags(write=False)
     ps.setflags(write=False)
     return ValuationProfile(n=n, primes=ps, exponents=v)

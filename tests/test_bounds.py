@@ -366,6 +366,24 @@ class TestSweepEngine:
         for n in edges:
             assert reports[n - lo] == evaluate_theorem(table_big, tid, n), n
 
+    @pytest.mark.parametrize("n_from", [2, 3, 127, 12_602_987])
+    def test_carried_pi_at_window_edges(self, n_from, table_big, monkeypatch):
+        # pi(n) starts from the anchor's pi(n_from - 1) and grows by one
+        # where Omega(n) == 1, across windows of 7
+        monkeypatch.setattr(bounds, "WINDOW", 7)
+        n_to = n_from + 10 * 7 + 3
+        cols = list(bounds.columns(table_big, ("mean",), n_from, n_to))
+        assert len(cols) == 11
+        ns = np.concatenate([c.n for c in cols])
+        assert ns.tolist() == list(range(n_from, n_to + 1))
+        assert np.concatenate([c.pi for c in cols]).tolist() == table_big.count(ns).tolist()
+        for step, samples in ((3, None), (7, None), (1, 20)):
+            for c in bounds.columns(table_big, ("mean", "perfecter"), n_from, n_to,
+                                    step=step, log_samples=samples):
+                assert c.pi.tolist() == table_big.count(c.n).tolist(), (step, samples)
+        # only the mean reads it
+        assert all(c.pi is None for c in bounds.columns(table_big, ("upsilon",), n_from, n_to))
+
     @pytest.mark.parametrize("tid", ALL_IDS)
     @pytest.mark.parametrize("log_samples", [None, 40])
     def test_summary_matches_pointwise_reduction(self, tid, log_samples, table_small):

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -223,3 +224,62 @@ class TestThetaClassAdditivity:
             total = classed.total()
             ref = theta(table_small, n)
             assert total == pytest.approx(ref, rel=1e-9)
+
+
+class TestBitTable:
+    @pytest.mark.parametrize("limit", [2, 3, 127, 128, 129, 255, 256, 257, 10001])
+    def test_count_is_pi_everywhere(self, limit):
+        # word edges: bit 63 stands for 127, bit 64 for 129
+        table = build_table(limit)
+        ps = table.primes_in(0, limit)
+        xs = np.arange(limit + 1)
+        assert table.count(xs).tolist() == np.searchsorted(ps, xs, side="right").tolist()
+        assert table.count(xs + 0.5).tolist() == table.count(xs).tolist()
+        assert [pi(table, x) for x in range(limit + 1)] == table.count(xs).tolist()
+        assert len(table) == len(ps)
+
+    @given(limit=st.integers(2, 200_000), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_primes_in_matches_sympy(self, limit, data):
+        table = build_table(limit)
+        lo = data.draw(st.integers(-3, limit + 3), label="lo")
+        hi = data.draw(st.integers(lo, limit + 3), label="hi")
+        expected = list(sympy.primerange(max(lo, 0) + 1, min(hi, limit) + 1))
+        got = table.primes_in(lo, hi)
+        assert got.dtype == np.int64 and got.tolist() == expected
+        assert table.primes_up_to(hi).tolist() == list(sympy.primerange(2, min(hi, limit) + 1))
+
+    def test_table_at_two_million_is_sympys(self):
+        table = build_table(2_000_000)
+        assert table.primes.tolist() == list(sympy.primerange(2, 2_000_001))
+        assert not table.primes.flags.writeable and not table.bits.flags.writeable
+
+    def test_nth_prime_through_the_ranks(self, table_small):
+        expected = list(sympy.primerange(2, 10_001))
+        assert len(expected) == 1229 == len(table_small)
+        assert [nth_prime(table_small, k) for k in range(1, 1230)] == expected
+
+    def test_table_size(self):
+        table = build_table(20_000_000)
+        assert table.rank.dtype == np.int32 and table.bits.dtype == np.uint64
+        assert table.bits.nbytes + table.rank.nbytes <= 2_500_000
+        assert "primes" not in vars(table)
+
+    @given(limit=st.integers(2, 100_000), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_log_totals_in_sums_the_range(self, limit, data):
+        table = build_table(limit)
+        lo = data.draw(st.integers(0, limit), label="lo")
+        hi = data.draw(st.integers(lo, limit), label="hi")
+        ps = table.primes_in(lo, hi)
+        assert table.log_totals_in(lo, hi) == primes.log_totals(ps)
+        assert (primes.limb_value(table.log_totals_in(lo, hi))
+                == math.fsum(np.log(ps.astype(np.float64)).tolist()))
+        assert "primes" not in vars(table)
+
+    def test_log_totals_in_at_directory_marks(self, table_big):
+        step = primes._LOG_STEP
+        for lo, hi in [(0, step), (step - 1, step), (step, 2 * step + 1),
+                       (0, table_big.limit), (5 * step, table_big.limit)]:
+            assert table_big.log_totals_in(lo, hi) == primes.log_totals(
+                table_big.primes_in(lo, hi)), (lo, hi)

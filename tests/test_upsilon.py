@@ -12,6 +12,7 @@ from factprimes import (DomainError, FactprimesError, OutOfRangeError,
                         omega, perfecter_factorial, pi, upsilon,
                         upsilon_asymptotic_gap, upsilon_range, upsilon_value,
                         valuation_vector)
+from factprimes.primes import log_totals
 from factprimes.upsilon import (_anchor, factorial_points, factorial_windows,
                                 omega_window)
 from factprimes.valuation import _odd_exponent_primes
@@ -149,10 +150,12 @@ class TestFactorialPoints:
 def check_point(table, n):
     """The O(sqrt n) evaluation at n against one exponent per prime."""
     v = valuation_vector(table, n)
-    ups, parity, odd = _anchor(table, n, perfecter=True)
+    ups, parity, pi_n, totals = _anchor(table, n, perfecter=True)
     assert ups == int(v.sum()) == upsilon_value(table, n), n
+    assert pi_n == len(v) == pi(table, n), n
     assert parity.tolist() == (v[:pi(table, math.isqrt(n))] & 1).tolist(), n
-    assert odd.tolist() == _odd_exponent_primes(table, n, v).tolist(), n
+    odd = _odd_exponent_primes(table, n, v)
+    assert totals == log_totals(odd), n
     res = perfecter_factorial(table, n)
     assert res.odd_primes.tolist() == odd.tolist(), n
     assert res.log_value == math.fsum(np.log(odd.astype(np.float64)).tolist()), n
@@ -176,8 +179,8 @@ class TestSqrtEvaluation:
         check_point(table_big, table_big.limit)
 
     def test_at_one(self, table_small):
-        ups, parity, odd = _anchor(table_small, 1, perfecter=True)
-        assert (ups, len(parity), len(odd)) == (0, 0, 0)
+        ups, parity, pi_n, totals = _anchor(table_small, 1, perfecter=True)
+        assert (ups, len(parity), pi_n, totals) == (0, 0, 0, (0, 0))
 
     @pytest.mark.parametrize("n_from,n_to", [
         (100, 400),                    # primes 11..19 above isqrt(99) = 9
