@@ -24,7 +24,8 @@ description.  :func:`columns` chooses the points, in windows of ``WINDOW``,
 and :func:`evaluate` decides the verdicts of a window; ``sweep``,
 ``verify`` and ``scan`` call both.  Exact left-hand sides come from
 upsilon.factorial_windows over a range and from upsilon.factorial_points
-at scattered points; theta and pi read the table, at real n too.
+at scattered points; pi reads the table, and theta its log directory at
+scattered points and its log prefix along runs, at real n too.
 Pointwise evaluation is a one-point window and :func:`rhs_value` a
 one-point rhs, so all agree bit for bit.  Memory stays O(WINDOW).
 
@@ -45,7 +46,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .primes import PrimeTable, _integer
+from .primes import PrimeTable, _integer, theta
 from .report import MARGINAL_SLACK, BoundReport
 from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
                                 exp_integral, integrate)
@@ -451,12 +452,24 @@ def resolve_theorem_id(theorem_id: str) -> str:
 def rhs_value(theorem_id: str, n: float,
               constants: ConstantsTable | None = None) -> float:
     """The right-hand side of one bound at one finite real n >= 2, bit for
-    bit the rhs that evaluate_theorem and sweep report (a one-point array)."""
+    bit the rhs that evaluate_theorem and sweep report (a one-point array).
+
+    Raises:
+        DomainError: n not finite or below 2, or a step of the formula
+            overflows or turns invalid at n (near the top of the float
+            range); log log 1 = -inf at n = 2 is a value, not an error.
+    """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
     if not 2 <= n <= sys.float_info.max:
         raise DomainError(f"bounds are evaluated at finite n >= 2, got {n}")
-    return float(bound.rhs_at(np.array([n], dtype=np.float64),
-                              constants or default_constants())[0])
+    c = constants or default_constants()
+    # trapped here only, so sweeps pay nothing for it
+    with np.errstate(over="raise", invalid="raise"):
+        try:
+            return float(bound.rhs_at(np.array([n], dtype=np.float64), c)[0])
+        except FloatingPointError as exc:
+            raise DomainError(f"{bound.id} rhs is not representable at n={n}: {exc}"
+                              ) from None
 
 
 # -------------------------------------------------------------- sweep engine
@@ -512,9 +525,9 @@ def _mean_holds(upper: bool, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
 def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: ConstantsTable
              ) -> Window:
     """Evaluate one bound at the points cols.n, from the exact left-hand
-    sides in cols (the mean reads cols.pi; theta and pi read the table
-    instead, and take float64 points too): the one place a verdict is
-    decided."""
+    sides in cols (the mean reads cols.pi, theta cols.theta where it is
+    carried and the table's log prefix elsewhere, and pi the table; theta
+    and pi take float64 points too): the one place a verdict is decided."""
     ns = cols.n
     nf = ns.astype(np.float64)
     if bound.lhs == "perfecter":
@@ -533,7 +546,8 @@ def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: Constant
             if bound.lhs == "mean":
                 lhs = ups / pis
             elif bound.lhs == "theta":
-                lhs = np.abs(table.log_prefix[pis - 1] - ns)
+                theta_n = table.log_prefix[pis - 1] if cols.theta is None else cols.theta
+                lhs = np.abs(theta_n - ns)
             else:
                 lhs = pis.astype(np.float64)
         slack = rhs - lhs if bound.upper else lhs - rhs
@@ -546,11 +560,14 @@ def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: Constant
 
 
 def _points(table: PrimeTable, kinds: tuple[str, ...], ns: np.ndarray) -> Columns:
-    # exact left-hand sides at the points ns; theta and pi read the table
-    if set(kinds) <= set(_REAL_LHS):
-        return Columns(ns, None, None)
-    return factorial_points(table, ns, perfecter="perfecter" in kinds,
-                            count="mean" in kinds)
+    # exact left-hand sides at the scattered points ns, each on its own:
+    # theta from the table's log directory, not its prefix; pi reads the table
+    cols = (Columns(ns, None, None) if set(kinds) <= set(_REAL_LHS) else
+            factorial_points(table, ns, perfecter="perfecter" in kinds,
+                             count="mean" in kinds))
+    if "theta" in kinds:
+        cols = cols._replace(theta=np.array([theta(table, x) for x in ns.tolist()]))
+    return cols
 
 
 def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
@@ -558,8 +575,10 @@ def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
     k above the number of integers there is refused before any allocation."""
     if n_from < 1 or n_from > n_to or not 1 <= k <= n_to - n_from + 1:
         raise DomainError(f"bad sampling request [{n_from}, {n_to}] x {k}")
-    pts = np.geomspace(n_from, n_to, k).round().astype(np.int64)
-    return np.unique(np.clip(pts, n_from, n_to))
+    pts = np.clip(np.geomspace(n_from, n_to, k).round().astype(np.int64), n_from, n_to)
+    # nondecreasing already, so a neighbour mask dedups as np.unique would,
+    # without its lazy import of numpy.ma
+    return pts[np.r_[True, pts[1:] != pts[:-1]]]
 
 
 def columns(table: PrimeTable, kinds: tuple[str, ...], n_from: int, n_to: int, *,
@@ -582,6 +601,10 @@ def columns(table: PrimeTable, kinds: tuple[str, ...], n_from: int, n_to: int, *
         span = WINDOW * step
         chunks = (np.arange(lo, min(lo + span, n_to + 1), step, dtype=np.int64)
                   for lo in range(n_from, n_to + 1, span))
+        if step < WINDOW:
+            # runs of points, not scattered ones: theta reads the table's
+            # log prefix in evaluate
+            return (Columns(ns, None, None) for ns in chunks)
     else:
         walk = factorial_windows(table, n_from, n_to, WINDOW,
                                  perfecter="perfecter" in kinds, count="mean" in kinds)

@@ -22,6 +22,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import itertools
 import json
 import os
 import sys
@@ -33,7 +34,8 @@ import numpy as np
 
 from . import bounds, perfecter, primes
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .upsilon import upsilon as upsilon_stats
+from .upsilon import odd_exponent_blocks, upsilon as upsilon_stats
+from .valuation import decomposition_blocks
 
 DEFAULT_MAX_SIEVE = 20_000_000
 MAX_SIEVE_ENV = "FACTPRIMES_MAX_SIEVE"
@@ -120,25 +122,31 @@ def cmd_decompose(args) -> int:
         print("decompose needs n >= 2", file=sys.stderr)
         return EXIT_USAGE
     table = _build_table(args.n, args.max_sieve)
-    from .valuation import full_decomposition
-    profile = full_decomposition(table, args.n)
     res = upsilon_stats(table, args.n)
-    ps, vs, out = profile.primes, profile.exponents, sys.stdout
+    # the factor rows go out block by block: no array over all primes <= n
+    blocks, out = decomposition_blocks(table, args.n), sys.stdout
 
     if args.format == "json":
-        # json.dumps(..., separators=(",", ":")) of {n, factors, upsilon, mean}
-        out.write('{"n":%d,"factors":[' % args.n)
-        _write_rows(out, "[%d,%d],", (ps[:-1], vs[:-1]))
-        out.write('[%d,%d]],"upsilon":%d,"mean":%s}\n' % (
-            ps[-1], vs[-1], res.upsilon, json.dumps(float(fmt(res.mean)))))
+        # json.dumps(..., separators=(",", ":")) of {n, factors, upsilon, mean}:
+        # the first pair, of the prime 2, opens the list, and a comma leads
+        # every later one
+        ps, vs = next(blocks)
+        out.write('{"n":%d,"factors":[[%d,%d]' % (args.n, ps[0], vs[0]))
+        for ps, vs in itertools.chain([(ps[1:], vs[1:])], blocks):
+            _write_rows(out, ",[%d,%d]", (ps, vs))
+        out.write('],"upsilon":%d,"mean":%s}\n' % (
+            res.upsilon, json.dumps(float(fmt(res.mean)))))
     elif args.format == "csv":
         out.write("p,v\n")
-        _write_rows(out, "%d,%d\n", (ps, vs))
+        for ps, vs in blocks:
+            _write_rows(out, "%d,%d\n", (ps, vs))
         print(f"# upsilon={res.upsilon}")
         print(f"# mean={fmt(res.mean)}")
     else:
         out.write(f"{args.n}! = product of:\n")
-        _write_rows(out, f"  %{len(str(ps[-1]))}d ^ %d\n", (ps, vs))
+        template = f"  %{len(str(primes.nth_prime(table, res.pi_n)))}d ^ %d\n"
+        for ps, vs in blocks:
+            _write_rows(out, template, (ps, vs))
         print(f"upsilon({args.n}) = {res.upsilon}")
         print(f"mean exponent = {res.mean_exact.numerator}/{res.mean_exact.denominator}"
               f" = {fmt(res.mean)}")
@@ -252,10 +260,12 @@ def cmd_perfecter(args) -> int:
     table = _build_table(max(args.n, 2), args.max_sieve)
     res = perfecter.perfecter_factorial(table, args.n,
                                         exact_max_bits=args.exact_max_bits)
+    # the first primes from the blocks' head: the whole set is never held
+    shown = itertools.islice(itertools.chain.from_iterable(
+        odd_exponent_blocks(table, args.n)), 30)
     print(f"perfecter({args.n}!):")
-    print(f"  odd-exponent primes ({len(res.odd_primes)}): "
-          + (" ".join(str(p) for p in res.odd_primes[:30])
-             + (" ..." if len(res.odd_primes) > 30 else "") or "none"))
+    print(f"  odd-exponent primes ({res.count}): "
+          + (" ".join(map(str, shown)) + (" ..." if res.count > 30 else "") or "none"))
     print(f"  log value = {fmt(res.log_value)}")
     if res.exact_value is not None:
         print(f"  exact value = {res.exact_value}")

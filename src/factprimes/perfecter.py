@@ -22,7 +22,7 @@ from .bounds import evaluate_theorem
 from .errors import DomainError, OutOfRangeError
 from .primes import PrimeTable, _integer, limb_value, log_totals
 from .report import BoundReport
-from .upsilon import odd_exponent_primes
+from .upsilon import odd_exponent_blocks
 from .valuation import _odd_exponent_primes, is_prime, valuation_vector
 
 DEFAULT_EXACT_MAX_BITS = 4096
@@ -30,15 +30,16 @@ DEFAULT_EXACT_MAX_BITS = 4096
 
 @dataclass(frozen=True)
 class PerfecterResult:
-    """Minimal square perfecter of n! in factored and logarithmic form.
+    """Minimal square perfecter of n! by its size and in logarithmic form.
 
-    odd_primes is the ascending int64 array of the primes with an odd
-    exponent in n!; exact_value is the kernel as a big integer when its
-    size fits the configured bit cap, else None.
+    count is the number of primes with an odd exponent in n! (the primes
+    themselves come from upsilon.odd_exponent_blocks, or as one array from
+    upsilon.odd_exponent_primes); exact_value is the kernel as a big integer
+    when its size fits the configured bit cap, else None.
     """
 
     n: int
-    odd_primes: np.ndarray
+    count: int
     log_value: float
     exact_value: int | None
 
@@ -108,11 +109,12 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
                         ) -> PerfecterResult:
     """Minimal m with m * n! a perfect square, for n >= 1.
 
-    odd_primes comes from the O(sqrt n) evaluation
-    (upsilon.odd_exponent_primes), not from one exponent per prime.
-    log_value is the exactly rounded log-sum over the odd-exponent primes,
-    math.fsum's value bit for bit; the exact product is materialized only
-    while it fits in exact_max_bits.
+    One pass over the blocks of upsilon.odd_exponent_blocks (the O(sqrt n)
+    evaluation, not one exponent per prime) takes the count of the
+    odd-exponent primes and the exact log-limb totals of their logs, so no
+    array of them is held: log_value is the exactly rounded log-sum,
+    math.fsum's value bit for bit.  A second pass forms the exact product,
+    only when log_value says it fits in exact_max_bits.
 
     Raises:
         DomainError: n not an integer, n < 1 or exact_max_bits < 0.
@@ -125,18 +127,22 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
         raise DomainError(f"exact_max_bits must be >= 0, got {exact_max_bits}")
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    odd = odd_exponent_primes(table, n)
-    log_value = _log_sum(odd)
+    count = high = low = 0
+    for ps in odd_exponent_blocks(table, n):
+        count += len(ps)
+        h, l = log_totals(ps)
+        high += h
+        low += l
+    log_value = limb_value((high, low))
     # bit length of the product is log_value/log 2 up to rounding
+    exact: int | None = None
     if log_value / math.log(2) <= exact_max_bits:
-        exact: int | None = 1
-        for p in odd:
-            exact *= int(p)
+        exact = 1
+        for ps in odd_exponent_blocks(table, n):
+            exact *= math.prod(ps.tolist())
         if exact.bit_length() > exact_max_bits:
             exact = None
-    else:
-        exact = None
-    return PerfecterResult(n=n, odd_primes=odd, log_value=log_value,
+    return PerfecterResult(n=n, count=count, log_value=log_value,
                            exact_value=exact)
 
 

@@ -12,8 +12,8 @@ theta and pi bounds are records of the bound registry (``bounds.BOUNDS``);
 Sums of prime logarithms are exact: every theta value is the correctly
 rounded sum of its ``log p`` terms, as ``math.fsum`` would return it (see
 :func:`log_limbs`).  ``theta`` reads the table's small log directory, and
-the theta bounds' sweeps the prefix of every prime; each is built on first
-use.
+the theta bounds' sweeps over consecutive points the prefix of every
+prime; each is built on first use.
 """
 
 from __future__ import annotations

@@ -21,8 +21,11 @@ and the primes with n // p = q are those in (n // (q + 1), n // q].  So
 with all the pi values from one vectorized PrimeTable.count, and the
 odd-exponent primes above r are the primes in those value runs for odd q.
 The walker's anchor and scattered points (factorial_points) both use it,
-and yield the same Columns, bit for bit.  pi(n) itself is carried along a
-walk: Omega(m) == 1 exactly when m is prime.
+and yield the same Columns, bit for bit.  The odd-exponent primes at one n
+also come as ascending blocks of at most one value block
+(odd_exponent_blocks), which perfecter.perfecter_factorial reduces one by
+one, so the single-point perfecter holds no array of them.  pi(n) itself
+is carried along a walk: Omega(m) == 1 exactly when m is prime.
 """
 
 from __future__ import annotations
@@ -212,13 +215,14 @@ def omega_window(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
 
 class Columns(NamedTuple):
     """Exact left-hand sides at ascending n: the exponent sum of n! and,
-    when asked for, the log of its minimal square perfecter and pi(n)
-    (int32, as PrimeTable.rank)."""
+    when asked for, the log of its minimal square perfecter, pi(n) (int32,
+    as PrimeTable.rank) and theta(n)."""
 
     n: np.ndarray
     upsilon: np.ndarray
     log_perfecter: np.ndarray | None
     pi: np.ndarray | None = None
+    theta: np.ndarray | None = None
 
 
 def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
@@ -297,22 +301,34 @@ def _odd_exponent_blocks(table: PrimeTable, n: int, small: np.ndarray,
         yield ps[(n // ps) & 1 == 1]
 
 
+def odd_exponent_blocks(table: PrimeTable, n: int) -> Iterator[np.ndarray]:
+    """The primes with an odd exponent in n!, for 1 <= n <= table.limit,
+    ascending, in blocks that each span at most one value block of
+    prime_blocks: first those up to r = isqrt(n), by their exponent
+    parities, then those above with n // p odd up to the cut of _odd_runs,
+    then the primes of its value runs (max(r, n // (q + 1)), n // q] for
+    odd q.  A caller that reduces the blocks one by one never holds the
+    whole set."""
+    small = table.primes_up_to(math.isqrt(n))
+    yield from _odd_exponent_blocks(table, n, small, _legendre_exponents(small, n) & 1)
+    for lo, hi in _odd_runs(n)[1]:
+        yield from prime_blocks(table, lo, hi)
+
+
 def odd_exponent_primes(table: PrimeTable, n: int) -> np.ndarray:
     """The ascending int64 array of the primes with an odd exponent in n!,
-    for 1 <= n <= table.limit, filled block by block into an array of its
-    exact size, which pi counts: the primes up to r = isqrt(n) by their
-    exponent parities, then those in (max(r, n // (q + 1)), n // q] for odd
-    q."""
+    for 1 <= n <= table.limit: the blocks of odd_exponent_blocks, filled
+    into an array of its exact size, which pi counts for the runs above
+    r = isqrt(n)."""
+    blocks = odd_exponent_blocks(table, n)
+    first = next(blocks)  # the primes up to r
     r = math.isqrt(n)
-    small = table.primes_up_to(r)
-    parity = _legendre_exponents(small, n) & 1
     qs = np.arange(1, n // (r + 1) + 1, 2)
-    size = int(np.count_nonzero(parity)) + int(
+    size = len(first) + int(
         (table.count(n // qs) - table.count(np.maximum(n // (qs + 1), r))).sum())
     odd = np.empty(size, dtype=np.int64)
     k = 0
-    runs = (ps for lo, hi in _odd_runs(n)[1] for ps in prime_blocks(table, lo, hi))
-    for ps in itertools.chain(_odd_exponent_blocks(table, n, small, parity), runs):
+    for ps in itertools.chain([first], blocks):
         odd[k:k + len(ps)] = ps
         k += len(ps)
     return odd

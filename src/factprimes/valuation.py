@@ -10,11 +10,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Iterator
 
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .primes import PrimeTable, _integer
+from .primes import PrimeTable, _integer, pi, prime_blocks
 
 # The brute-force oracle does O(n) factor extractions; keep it honest.
 ORACLE_CAP = 100_000
@@ -142,12 +143,33 @@ def valuation_vector(table: PrimeTable, n: int) -> np.ndarray:
         DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
+    n = _checked(table, n)
+    return _legendre_exponents(table.primes_up_to(n), n)
+
+
+def _checked(table: PrimeTable, n: int) -> int:
     n = _integer("n", n)
     if n < 2:
         raise DomainError(f"need n >= 2, got {n}")
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    return _legendre_exponents(table.primes_up_to(n), n)
+    return n
+
+
+def decomposition_blocks(table: PrimeTable, n: int
+                         ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
+    """The prime decomposition of n! as ascending (primes, exponents)
+    blocks, one per value block of primes.prime_blocks, so that no array
+    over all the primes <= n is held.  The first block holds the prime 2;
+    a later one may be empty.  n is checked when this is called.
+
+    Raises:
+        DomainError: n not an integer, or n < 2.
+        OutOfRangeError: n beyond the table limit.
+    """
+    n = _checked(table, n)
+    # the exponents are elementwise in p, so any ascending block will do
+    return ((ps, _legendre_exponents(ps, n)) for ps in prime_blocks(table, 0, n))
 
 
 def _legendre_exponents(ps: np.ndarray, n: int) -> np.ndarray:
@@ -207,14 +229,23 @@ class ValuationProfile:
 
 
 def full_decomposition(table: PrimeTable, n: int) -> ValuationProfile:
-    """Prime decomposition of n! with one entry per prime <= n.
+    """Prime decomposition of n! with one entry per prime <= n, filled
+    block by block from decomposition_blocks into arrays of their exact
+    size.
 
     Raises:
         DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
-    v = valuation_vector(table, n)
-    ps = table.primes_up_to(n)
+    blocks = decomposition_blocks(table, n)
+    size = pi(table, n)
+    ps = np.empty(size, dtype=np.int64)
+    v = np.empty(size, dtype=np.int64)
+    k = 0
+    for block, exponents in blocks:
+        ps[k:k + len(block)] = block
+        v[k:k + len(block)] = exponents
+        k += len(block)
     v.setflags(write=False)
     ps.setflags(write=False)
     return ValuationProfile(n=n, primes=ps, exponents=v)

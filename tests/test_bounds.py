@@ -1,9 +1,12 @@
 import math
+import sys
 from fractions import Fraction
 
 import mpmath
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from factprimes import (DomainError, RangeSummary, default_constants,
                         error_terms, evaluate_theorem, kappa, log_integral, s1,
@@ -285,6 +288,15 @@ class TestVerifyRange:
             with pytest.raises(DomainError):
                 log_spaced(3, 7, k)
 
+    @given(st.integers(1, 10**12), st.integers(0, 10**6), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_log_sampling_dedups_as_unique(self, n_from, span, data):
+        n_to = n_from + span
+        k = data.draw(st.integers(1, min(span + 1, 5000)), label="k")
+        pts = np.geomspace(n_from, n_to, k).round().astype(np.int64)
+        expected = np.unique(np.clip(pts, n_from, n_to))
+        assert log_spaced(n_from, n_to, k).tolist() == expected.tolist()
+
     def test_exhaustive_matches_pointwise(self, table_small):
         reports, _ = verify_range(table_small, "T5", 2, 40)
         for rep in reports[:10]:
@@ -426,3 +438,60 @@ class TestSweepEngine:
         for bad in (1, math.nan, math.inf, -math.inf, 10**400):
             with pytest.raises(DomainError):
                 rhs_value(tid, bad)
+
+    @pytest.mark.parametrize("tid", list(bounds.BOUNDS))
+    def test_rhs_near_the_top_of_the_float_range(self, tid):
+        # products such as 793 * n overflow from about 1e307: a DomainError,
+        # never a nan, an inf or a RuntimeWarning
+        assert math.isfinite(rhs_value(tid, 1e300))
+        try:
+            value = rhs_value(tid, sys.float_info.max)
+        except DomainError:
+            return
+        assert math.isfinite(value)
+
+    def test_rhs_overflow_is_a_domain_error(self):
+        # nan, -inf and an overflowed TB2 before; T1 and T2 at n = 2 stay -inf
+        for tid, n in (("T4", 1.7e308), ("T5", sys.float_info.max), ("TB2", 1e307)):
+            with pytest.raises(DomainError):
+                rhs_value(tid, n)
+        assert rhs_value("T1", 2) == rhs_value("T2", 2) == -math.inf
+
+
+class TestVacuousLowerBounds:
+    """T4 and T5 are vacuous wherever the verifier can reach: their
+    right-hand sides are negative until log n is about 142,730."""
+
+    @pytest.mark.parametrize("tid", ["T4", "T5"])
+    def test_rhs_negative_up_to_1e300(self, tid):
+        for n in np.geomspace(3, 1e300, 60).tolist():
+            assert rhs_value(tid, n) < 0, n
+
+    def test_sign_change_near_10_to_61986(self, constants):
+        # with L = log n: T4's rhs / n and T5's rhs / (kappa L), both
+        # log L + c8 plus terms that vanish as L grows
+        with mpmath.workdps(30):
+            c8, c10 = mpmath.mpf(constants.c8), mpmath.mpf(constants.c10)
+
+            def t4(L):
+                u = mpmath.exp(-L)  # 1 / n
+                return ((1 - u) * mpmath.log(L) + c8 * (1 - u) - 1 / L
+                        - mpmath.mpf(16381) / (5000 * L**2) - 6 / L**3
+                        - mpmath.mpf(54281) / (800 * L**4) - c10 * L * u)
+
+            def t5(L):
+                u = mpmath.exp(-L)
+                return ((1 - u) * mpmath.log(L) + c8 * (1 - u)
+                        - mpmath.mpf(16381) / (5000 * L**2) - 6 / L**3
+                        - mpmath.mpf(54281) / (800 * L**4) - c10 * L * u)
+
+            for n in (1e3, 1e300):  # the same functions as the registry's rhs
+                L = mpmath.log(n)
+                kappa_l = 5000 * L / (6381 + 5000 * L) * L
+                assert float(t4(L) * n) == pytest.approx(rhs_value("T4", n), rel=1e-12)
+                assert float(t5(L) * kappa_l) == pytest.approx(rhs_value("T5", n), rel=1e-12)
+            for f, near in ((t4, 142_729.8), (t5, 142_728.8)):
+                root = mpmath.findroot(f, 140_000)
+                assert abs(root - near) < 0.1
+                assert f(root - 1) < 0 < f(root + 1)
+                assert int(root / mpmath.log(10)) == 61986

@@ -6,6 +6,7 @@ import sys
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
@@ -18,6 +19,7 @@ from factprimes import perfecter as perfecter_module
 from factprimes import upsilon as upsilon_stats
 from factprimes.bounds import rhs_value
 from factprimes.cli import CSV_HEADER, SCAN_HEADER, fmt, main
+from factprimes.upsilon import odd_exponent_primes
 
 
 def run(capsys, *argv):
@@ -72,6 +74,17 @@ class TestDecompose:
         code, out, _ = run(capsys, "decompose", str(n), "--format", form)
         assert code == 0
         assert out == reference_decompose(table_small, n, form)
+
+    @pytest.mark.parametrize("n", [2, 3, 1025, 9973])
+    @pytest.mark.parametrize("form", ["csv", "text", "json"])
+    def test_rows_across_value_blocks(self, capsys, monkeypatch, table_small, n, form):
+        # 256 values a block: up to 39 blocks of rows, and at 1025 a last
+        # block (1024, 1025] without a prime, after which the json list closes
+        expected = reference_decompose(table_small, n, form)
+        monkeypatch.setattr(primes, "_VALUE_BLOCK", 256)
+        code, out, _ = run(capsys, "decompose", str(n), "--format", form)
+        assert code == 0
+        assert out == expected
 
 
 def reference_decompose(table, n, form):
@@ -271,6 +284,26 @@ class TestConstants:
         assert out.splitlines()[-1].endswith("-> OK" if ok else "-> MISMATCH")
 
 
+def reference_perfecter(table, n, exact_max_bits=perfecter_module.DEFAULT_EXACT_MAX_BITS):
+    """perfecter output rendered from the array of the odd-exponent primes."""
+    odd = odd_exponent_primes(table, n).tolist()
+    log_value = math.fsum(np.log(np.array(odd, dtype=np.float64)).tolist())
+    shown = " ".join(map(str, odd[:30])) + (" ..." if len(odd) > 30 else "")
+    lines = [f"perfecter({n}!):", f"  odd-exponent primes ({len(odd)}): {shown or 'none'}",
+             f"  log value = {fmt(log_value)}"]
+    exact = math.prod(odd)
+    if exact.bit_length() <= exact_max_bits:
+        lines.append(f"  exact value = {exact}")
+    else:
+        lines.append(f"  exact value suppressed (over {exact_max_bits} bits; "
+                     "raise --exact-max-bits)")
+    if n >= 4:
+        lower, upper = primes._at(bounds.perfecter_exponents, n)
+        lines.append(f"  lower bound exponent {fmt(lower)} < log value: {fmt(log_value > lower)}")
+        lines.append(f"  upper bound exponent {fmt(upper)} > log value: {fmt(log_value < upper)}")
+    return "\n".join(lines) + "\n"
+
+
 class TestPerfecter:
     def test_small(self, capsys):
         code, out, _ = run(capsys, "perfecter", "5")
@@ -312,6 +345,18 @@ class TestPerfecter:
         assert out.splitlines()[-2:] == [
             f"  lower bound exponent {fmt(lower)} < log value: {fmt(rep.lhs > lower)}",
             f"  upper bound exponent {fmt(rep.rhs)} > log value: {fmt(rep.lhs < rep.rhs)}"]
+
+    @pytest.mark.parametrize("n,flag", [(1, []), (4, []), (1025, []), (3001, []),
+                                        (3001, ["--exact-max-bits", "0"]),
+                                        (100_000, []), (300_007, [])])
+    def test_output_across_value_blocks(self, capsys, monkeypatch, table_big, n, flag):
+        # 256 values a block: the head, the blocks below the cut and the
+        # runs above it (from 65536 on) each span many blocks
+        expected = reference_perfecter(table_big, n, *map(int, flag[1:]))
+        monkeypatch.setattr(primes, "_VALUE_BLOCK", 256)
+        code, out, _ = run(capsys, "perfecter", str(n), *flag)
+        assert code == 0
+        assert out == expected
 
     def test_negative_bit_cap_rejected(self, capsys):
         code, out, err = run(capsys, "perfecter", "100", "--exact-max-bits", "-5")

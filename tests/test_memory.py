@@ -1,10 +1,13 @@
 """Memory contracts, measured with tracemalloc (numpy reports its buffers
 to it): the prime table costs its bits and ranks plus one sieve segment,
 one factorial point costs O(sqrt N), or one value block with its perfecter
-log, and a perfecter costs its output plus one block of temporaries.
+log, and a perfecter or a decomposition costs one block of temporaries
+beyond what it returns.
 """
 
 import math
+import os
+import sys
 import tracemalloc
 
 import numpy as np
@@ -12,7 +15,7 @@ import pytest
 
 from factprimes import (bounds, build_table, cli, evaluate_theorem,
                         perfecter_factorial, primes, upsilon_value)
-from factprimes.upsilon import factorial_points
+from factprimes.upsilon import factorial_points, odd_exponent_primes
 
 N = 2_000_000
 
@@ -72,20 +75,44 @@ def test_perfecter_point_holds_no_prime_array(table_big, n):
 @pytest.mark.parametrize("n", [N, None])
 def test_perfecter_costs_its_output_and_one_block(table_big, n):
     # the same block budget from 2e6 to the table limit, where the
-    # exponent vector alone would take 6.5 MB
-    res, peak = traced_peak(perfecter_factorial, table_big, n or table_big.limit)
-    assert peak <= res.odd_primes.nbytes + 64 * primes._PREFIX_BLOCK
+    # exponent vector alone would take 6.5 MB and the odd-exponent primes
+    # 4.5 MB: the blocks are reduced one by one
+    _, peak = traced_peak(perfecter_factorial, table_big, n or table_big.limit)
+    assert peak <= 32 * primes._PREFIX_BLOCK
+
+
+def test_odd_exponent_primes_cost_their_array_and_one_block(table_big):
+    odd, peak = traced_peak(odd_exponent_primes, table_big, table_big.limit)
+    assert peak <= odd.nbytes + 32 * primes._PREFIX_BLOCK
+
+
+@pytest.mark.parametrize("fmt", ["text", "json", "csv"])
+def test_decompose_costs_the_table_and_one_block(table, fmt, monkeypatch):
+    # the 149k factor rows at N would take 3.6 MB as the arrays of primes
+    # and exponents; they are written block by block instead (N, not a
+    # larger n: tracemalloc makes every rendered row slow)
+    with open(os.devnull, "w") as sink:
+        monkeypatch.setattr(sys, "stdout", sink)
+        code, peak = traced_peak(cli.main, ["decompose", str(N), "--format", fmt])
+    assert code == cli.EXIT_OK
+    table_bytes = table.bits.nbytes + table.rank.nbytes
+    assert peak <= table_bytes + 3 * primes._SEGMENT // 2 + 32 * primes._PREFIX_BLOCK
 
 
 def test_no_query_builds_the_prime_array():
     table = build_table(200_000)
-    for tid in bounds.BOUNDS:
-        lo = bounds.BOUNDS[tid].start if tid.startswith("S32") else 3
-        list(bounds.sweep(table, tid, lo, 70_000))
+    starts = {tid: bounds.BOUNDS[tid].start if tid.startswith("S32") else 3
+              for tid in bounds.BOUNDS}
+    for tid, lo in starts.items():
         list(bounds.sweep(table, tid, lo, 199_000, log_samples=30))
         evaluate_theorem(table, tid, 199_999)
+    evaluate_theorem(table, "TB2", 1234.5)
     perfecter_factorial(table, 199_999)
     upsilon_value(table, 199_999)
+    # scattered theta points read the log directory, not the prefix
+    assert "log_prefix" not in vars(table)
+    for tid, lo in starts.items():
+        list(bounds.sweep(table, tid, lo, 70_000))
     assert "primes" not in vars(table)
 
 

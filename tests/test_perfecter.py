@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from factprimes import (DomainError, bertrand_equivalence, bounds,
                         perfecter_bounds, perfecter_factorial,
                         squarefree_kernel, theta, theta_classed)
-from factprimes.upsilon import factorial_windows
+from factprimes.upsilon import factorial_windows, odd_exponent_primes
 
 FIRST_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
 
@@ -51,11 +51,13 @@ class TestSquarefreeKernel:
 class TestPerfecterFactorial:
     def test_examples(self, table_small):
         r4 = perfecter_factorial(table_small, 4)
-        assert r4.odd_primes.tolist() == [2, 3] and r4.exact_value == 6
+        assert odd_exponent_primes(table_small, 4).tolist() == [2, 3]
+        assert r4.count == 2 and r4.exact_value == 6
         r1 = perfecter_factorial(table_small, 1)
         assert r1.exact_value == 1 and r1.log_value == 0.0
         r5 = perfecter_factorial(table_small, 5)
-        assert r5.odd_primes.tolist() == [2, 3, 5] and r5.exact_value == 30
+        assert odd_exponent_primes(table_small, 5).tolist() == [2, 3, 5]
+        assert r5.count == 3 and r5.exact_value == 30
         assert 120 * 30 == 3600 and is_square(3600)
 
     def test_bit_cap(self, table_small):
@@ -119,7 +121,8 @@ def pointwise_logs(table_big):
     logs = [None, None]
     for n in range(2, SWEEP_TO + 1):
         res = perfecter_factorial(table_big, n)
-        odd = np.array(res.odd_primes, dtype=np.float64)
+        odd = odd_exponent_primes(table_big, n).astype(np.float64)
+        assert res.count == len(odd), n
         assert res.log_value == math.fsum(np.log(odd).tolist()), n
         logs.append(res.log_value)
     return logs
@@ -155,7 +158,8 @@ class TestPerfecterSweep:
         for k in range(2, n + 1):
             exponents.update(_factorint(k))
         odd = sorted(p for p, e in exponents.items() if e % 2)
-        assert perfecter_factorial(table_small, n).odd_primes.tolist() == odd
+        assert odd_exponent_primes(table_small, n).tolist() == odd
+        assert perfecter_factorial(table_small, n).count == len(odd)
         lo = data.draw(st.integers(2, n), label="lo")
         *_, last = factorial_windows(table_small, lo, n, 97, perfecter=True)
         fingerprint = math.fsum(np.log(np.array(odd, dtype=np.float64)).tolist())

@@ -1,6 +1,8 @@
 """The pytest configuration shows a failing property test's falsifying
-example, rather than ending the run in an INTERNALERROR while reporting it."""
+example, rather than ending the run in an INTERNALERROR while reporting it;
+the single-point commands import no numpy module lazily."""
 
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -23,3 +25,21 @@ def test_failing_property_test_shows_its_example(tmp_path):
     assert run.returncode == 1, out
     assert "Falsifying example" in out
     assert "INTERNALERROR" not in out
+
+
+def test_single_point_commands_load_no_numpy_ma(tmp_path):
+    # numpy imports numpy.ma on first use of some functions (np.unique
+    # does), at about 1 MB of peak and 15 ms a run; checked in a fresh
+    # process, since this one may have imported it already
+    probe = (
+        "import sys\n"
+        "from factprimes import cli\n"
+        "for argv in (['verify', 'T1', '--from', '3', '--to', '100000', '--log-samples', '30'],\n"
+        "             ['perfecter', '100000'], ['decompose', '100000', '--format', 'json']):\n"
+        "    assert cli.main(argv) == 0, argv\n"
+        "print('numpy.ma' in sys.modules)\n")
+    env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "False"

@@ -14,7 +14,7 @@ from factprimes import (DomainError, FactprimesError, OutOfRangeError,
                         valuation_vector)
 from factprimes.primes import log_totals
 from factprimes.upsilon import (_anchor, factorial_points, factorial_windows,
-                                omega_window)
+                                odd_exponent_primes, omega_window)
 from factprimes.valuation import _odd_exponent_primes
 
 
@@ -157,7 +157,8 @@ def check_point(table, n):
     odd = _odd_exponent_primes(table, n, v)
     assert totals == log_totals(odd), n
     res = perfecter_factorial(table, n)
-    assert res.odd_primes.tolist() == odd.tolist(), n
+    assert odd_exponent_primes(table, n).tolist() == odd.tolist(), n
+    assert res.count == len(odd), n
     assert res.log_value == math.fsum(np.log(odd.astype(np.float64)).tolist()), n
 
 

@@ -5,9 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from factprimes import (DomainError, ResourceLimitError, digit_sum,
-                        factorial_valuation_oracle, full_decomposition,
-                        is_prime, legendre_valuation, omega, valuation_vector)
+from factprimes import (DomainError, OutOfRangeError, ResourceLimitError,
+                        digit_sum, factorial_valuation_oracle,
+                        full_decomposition, is_prime, legendre_valuation,
+                        omega, primes, valuation_vector)
+from factprimes.valuation import decomposition_blocks
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -88,6 +90,25 @@ class TestDecomposition:
             ps = table_small.primes_up_to(n)
             for p, vv in zip(ps, v):
                 assert legendre_valuation(n, int(p)).v == int(vv)
+
+    @pytest.mark.parametrize("n", [2, 1024, 1025, 9973])
+    def test_blocks_are_the_vector(self, table_small, monkeypatch, n):
+        # 256 values a block; (1024, 1025] holds no prime, so 1025 ends on
+        # an empty block
+        monkeypatch.setattr(primes, "_VALUE_BLOCK", 256)
+        blocks = list(decomposition_blocks(table_small, n))
+        assert len(blocks) == -(-n // 256)
+        assert blocks[0][0][0] == 2
+        assert np.concatenate([ps for ps, _ in blocks]).tolist() == \
+            table_small.primes_up_to(n).tolist()
+        assert np.concatenate([v for _, v in blocks]).tolist() == \
+            valuation_vector(table_small, n).tolist()
+
+    def test_blocks_check_n_when_called(self, table_small):
+        with pytest.raises(DomainError):
+            decomposition_blocks(table_small, 1)
+        with pytest.raises(OutOfRangeError):
+            decomposition_blocks(table_small, table_small.limit + 1)
 
     def test_deep_exponents_at_the_table_limit(self, table_big):
         # the primes with p^3 <= n sum their terms past n // p^2 in plain ints
