@@ -20,14 +20,15 @@ plus the table-backed checks TB2/TB4 (theta deviation), PI_LB/PI_UB
 (prime-count bounds) and S32_perfecter (two-sided perfecter bound).
 
 Each of these is one :class:`Bound` record in ``BOUNDS``, its only
-description.  :func:`columns` chooses the points, in windows of ``WINDOW``,
-and :func:`evaluate` decides the verdicts of a window; ``sweep``,
+description.  :func:`columns` chooses the points, in slices of ``SLICE``,
+and :func:`evaluate` decides the verdicts of a slice; ``sweep``,
 ``verify`` and ``scan`` call both.  Exact left-hand sides come from
-upsilon.factorial_windows over a range and from upsilon.factorial_points
-at scattered points; pi reads the table, and theta its log directory at
+upsilon.factorial_windows over a range, in windows of
+``walk_window(n_to)`` points, and from upsilon.factorial_points at
+scattered points; pi reads the table, and theta its log directory at
 scattered points and its log prefix along runs, at real n too.
-Pointwise evaluation is a one-point window and :func:`rhs_value` a
-one-point rhs, so all agree bit for bit.  Memory stays O(WINDOW).
+Pointwise evaluation is a one-point slice and :func:`rhs_value` a
+one-point rhs, so all agree bit for bit.  Memory stays O(walk window).
 
 Note the T1 right-hand side contains (n-1) * log log(n-1), which diverges
 to -inf at n = 2; the verifier evaluates and reports exactly that, so the
@@ -474,12 +475,32 @@ def rhs_value(theorem_id: str, n: float,
 
 # -------------------------------------------------------------- sweep engine
 
-# Points per sweep window; the engine's memory is O(WINDOW).
-WINDOW = 1 << 16
+# Points per verdict slice: evaluate's temporaries stay cache-sized,
+# whatever the walk window.
+SLICE = 1 << 14
+
+
+def walk_window(n_to: int) -> int:
+    """Points per factor-pass window of a walk ending at n_to >= 1.  A window
+    costs a strided pass per prime up to isqrt(n_to) plus a part linear in
+    its points, so it is the power of two above 64 isqrt(n_to), from 2^14
+    (below 65536) to 2^19 (from 2^24 on)."""
+    return min(max(1 << (64 * math.isqrt(n_to)).bit_length(), 1 << 14), 1 << 19)
+
+
+def walk_points(kinds: tuple[str, ...], n_from: int, n_to: int, *, step: int = 1,
+                log_samples: int | None = None) -> int:
+    """Points per factor-pass window that :func:`columns` walks: at most
+    walk_window(n_to) for steps below it, and 0 for log-spaced points,
+    wider steps and the left-hand sides read from the table."""
+    window = walk_window(max(n_to, 1))
+    if log_samples is not None or set(kinds) <= set(_REAL_LHS) or step >= window:
+        return 0
+    return min(window, n_to - n_from + 1)
 
 
 class Window(NamedTuple):
-    """Per-point arrays of one bound over consecutive points, ascending in n.
+    """Per-point arrays of one bound over one slice of points, ascending in n.
 
     The fields are those of BoundReport after its theorem id.
     """
@@ -581,46 +602,59 @@ def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
     return pts[np.r_[True, pts[1:] != pts[:-1]]]
 
 
+def _walked(walk: Iterator[Columns], n_from: int, n_to: int, step: int
+            ) -> Iterator[Columns]:
+    """Every step-th row from n_from of the consecutive walked windows,
+    SLICE rows at a time.  The slices of a window longer than SLICE that
+    another follows are copies, so no slice a caller still holds keeps the
+    whole window alive while the next one is walked."""
+    for cols in walk:
+        own = len(cols.n) > SLICE and cols.n[-1] < n_to
+        for i in range((n_from - int(cols.n[0])) % step, len(cols.n), SLICE * step):
+            cut = slice(i, i + SLICE * step, step)
+            yield Columns(*(None if a is None else a[cut].copy() if own else a[cut]
+                            for a in cols))
+        del cols
+
+
 def columns(table: PrimeTable, kinds: tuple[str, ...], n_from: int, n_to: int, *,
             step: int = 1, log_samples: int | None = None) -> Iterator[Columns]:
     """The points n_from, n_from + step, ... <= n_to, or log_samples
     log-spaced points, with the exact left-hand sides of the kinds kinds
     (Bound.lhs values; pi(n) is computed only for "mean"), in ascending
-    windows of at most WINDOW points.  Steps below WINDOW walk
-    factorial_windows and keep every step-th row; log-spaced points and
-    wider steps go through factorial_points, since one anchor costs about
-    as much as walking one window.  The arguments are checked here."""
+    slices of at most SLICE points.  Steps below walk_window(n_to) walk
+    factorial_windows in windows of walk_points and keep every step-th
+    row; log-spaced points and wider steps go through factorial_points,
+    since one anchor costs about as much as walking one window.  The
+    arguments are checked here."""
     _check_range(table, n_from, n_to)
     n_from, n_to = int(n_from), int(n_to)
     if step < 1 or (step > 1 and log_samples is not None):
         raise DomainError(f"bad step {step} (with log_samples={log_samples})")
+    window = walk_points(kinds, n_from, n_to, step=step, log_samples=log_samples)
+    if window:
+        walk = factorial_windows(table, n_from, n_to, window,
+                                 perfecter="perfecter" in kinds, count="mean" in kinds)
+        return _walked(walk, n_from, n_to, step)
     if log_samples is not None:
         points = log_spaced(n_from, n_to, log_samples)
-        chunks = (points[i:i + WINDOW] for i in range(0, len(points), WINDOW))
-    elif set(kinds) <= set(_REAL_LHS) or step >= WINDOW:
-        span = WINDOW * step
+        chunks = (points[i:i + SLICE] for i in range(0, len(points), SLICE))
+    else:
+        span = SLICE * step
         chunks = (np.arange(lo, min(lo + span, n_to + 1), step, dtype=np.int64)
                   for lo in range(n_from, n_to + 1, span))
-        if step < WINDOW:
+        if step < walk_window(n_to):
             # runs of points, not scattered ones: theta reads the table's
             # log prefix in evaluate
             return (Columns(ns, None, None) for ns in chunks)
-    else:
-        walk = factorial_windows(table, n_from, n_to, WINDOW,
-                                 perfecter="perfecter" in kinds, count="mean" in kinds)
-        if step == 1:
-            return walk
-        # walked windows are consecutive: every step-th row is a slice
-        return (Columns(*(None if a is None else a[(n_from - cols.n[0]) % step::step]
-                          for a in cols)) for cols in walk)
     return (_points(table, kinds, ns) for ns in chunks)
 
 
 def sweep(table: PrimeTable, theorem_id: str, n_from: int, n_to: int, *,
           log_samples: int | None = None,
           constants: ConstantsTable | None = None) -> Iterator[Window]:
-    """The windows of :func:`columns` over [n_from, n_to], each judged by
-    :func:`evaluate`.  The arguments are checked here, before any window.
+    """The slices of :func:`columns` over [n_from, n_to], each judged by
+    :func:`evaluate`.  The arguments are checked here, before any slice.
 
     Raises:
         DomainError: unknown id, non-integral or non-finite ends, empty
@@ -681,7 +715,7 @@ class RangeSummary:
 def summarize_reports(theorem_id: str, n_from: int, n_to: int,
                       log_samples: int | None,
                       windows: Iterable[Window]) -> RangeSummary:
-    """Reduce sweep windows to a summary, one window at a time.
+    """Reduce sweep slices to a summary, one slice at a time.
 
     Only applicable points count towards the verdict, the minimum slack
     (the first minimum in ascending n) and the marginal count.

@@ -166,12 +166,12 @@ _FLAGS = np.array([f"{fmt(bool(c & 4))},{fmt(bool(c & 2))},{fmt(bool(c & 1))}"
 
 
 def _stream(tid, windows, fh, shown):
-    """Pass sweep windows through, writing each point's CSV row to fh (when
+    """Pass sweep slices through, writing each point's CSV row to fh (when
     given) and keeping the first MAX_SHOWN violations in shown."""
     template = tid + ",%d,%.12g,%.12g,%.12g,%s\n"
     for w in windows:
         if fh is not None:
-            flags = _FLAGS[4 * w.holds + 2 * w.applicable + w.marginal]
+            flags = _FLAGS[w.holds * np.uint8(4) + w.applicable * np.uint8(2) + w.marginal]
             _write_rows(fh, template, (w.n, w.lhs, w.rhs, w.slack, flags))
         bad = np.flatnonzero(w.applicable & ~w.holds)[:MAX_SHOWN - len(shown)]
         shown += zip(*(a[bad].tolist() for a in (w.n, w.lhs, w.rhs, w.slack)))
@@ -189,6 +189,8 @@ def cmd_verify(args) -> int:
         print(f"note: perfecter bounds start at n = {bound.start}; clipping range",
               file=sys.stderr)
         n_from = bound.start
+    _keep_window_buffers(bounds.walk_points((bound.lhs,), n_from, n_to,
+                                            log_samples=args.log_samples))
     table = _build_table(n_to, args.max_sieve)
     windows = bounds.sweep(table, tid, n_from, n_to, log_samples=args.log_samples)
 
@@ -253,6 +255,19 @@ def cmd_constants(args) -> int:
 
 # ---------------------------------------------------------------- perfecter
 
+def _decimal(x: int) -> str:
+    # str() refuses more than sys.get_int_max_str_digits() digits (4300 by
+    # default, where the limit exists), a guard for untrusted input only
+    limit = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+    if not limit:
+        return str(x)
+    sys.set_int_max_str_digits(0)
+    try:
+        return str(x)
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def cmd_perfecter(args) -> int:
     if args.n < 1:
         print("perfecter needs n >= 1", file=sys.stderr)
@@ -268,7 +283,7 @@ def cmd_perfecter(args) -> int:
           + (" ".join(map(str, shown)) + (" ..." if res.count > 30 else "") or "none"))
     print(f"  log value = {fmt(res.log_value)}")
     if res.exact_value is not None:
-        print(f"  exact value = {res.exact_value}")
+        print(f"  exact value = {_decimal(res.exact_value)}")
     else:
         print(f"  exact value suppressed (over {args.exact_max_bits} bits; "
               "raise --exact-max-bits)")
@@ -286,10 +301,12 @@ def cmd_perfecter(args) -> int:
 
 SCAN_HEADER = "n,upsilon,pi,mean,t1_rhs,t1_holds,t4_rhs,t4_holds,c3_rhs,c3_holds,perfecter_log"
 _SCAN_BOUNDS = ("T1_upper_upsilon", "T4_lower_upsilon", "C3_upper_mean")
+# the left-hand sides of a scan row beyond upsilon
+_SCAN_KINDS = ("mean", "perfecter")
 
 
 def _scan_rows(fh, table, constants, cols) -> None:
-    """Write one window of scan rows, the T1/T4/C3 cells from the registry's
+    """Write one slice of scan rows, the T1/T4/C3 cells from the registry's
     verdicts.  A row's T4 and C3 cells are empty where that bound is not
     applicable; applicability is a suffix of the ascending rows, so the
     rows split into at most three runs, one template each."""
@@ -310,6 +327,8 @@ def cmd_scan(args) -> int:
     if args.n_from < 2 or args.n_from > args.n_to or args.step < 1:
         print("scan needs 2 <= from <= to and step >= 1", file=sys.stderr)
         return EXIT_USAGE
+    _keep_window_buffers(bounds.walk_points(_SCAN_KINDS, args.n_from, args.n_to,
+                                            step=args.step))
     cap = _sieve_limit(args.n_to, args.max_sieve)
     rows = 0
     try:
@@ -317,7 +336,7 @@ def cmd_scan(args) -> int:
             table = primes.build_table(args.n_to, limit_cap=cap)
             constants = bounds.default_constants()
             fh.write(SCAN_HEADER + "\n")
-            for cols in bounds.columns(table, ("mean", "perfecter"), args.n_from,
+            for cols in bounds.columns(table, _SCAN_KINDS, args.n_from,
                                        args.n_to, step=args.step):
                 _scan_rows(fh, table, constants, cols)
                 rows += len(cols.n)
@@ -335,23 +354,27 @@ _M_TRIM_THRESHOLD = -1
 _M_MMAP_THRESHOLD = -3
 
 
-def _keep_window_buffers() -> None:
-    """Fix glibc's mmap threshold at 1 MiB and its trim threshold at 16 MiB.
+def _keep_window_buffers(points: int) -> None:
+    """Fix glibc's mmap threshold above the largest array of a walk window
+    of points points (8 bytes a point), at least 1 MiB, and its trim
+    threshold at 16 times that.
 
-    A sweep allocates and frees the same half-megabyte window arrays again
-    and again.  With glibc's dynamic thresholds each of them is a fresh mmap
-    unless a larger block has been freed before (the table holds no such
-    block), and every page of it faults anew: about 27x the minor faults and
-    12-18% more time on an exhaustive T1 sweep to 2e7 (2-vCPU x86-64,
-    glibc).  Where mallopt is missing this does nothing.
+    A sweep allocates and frees the same window arrays again and again.
+    With glibc's dynamic thresholds each of them is a fresh mmap unless a
+    larger block has been freed before (the table holds no such block), and
+    every page of it faults anew: about 27x the minor faults and 12-18% more
+    time on an exhaustive T1 sweep to 2e7 with 2^16-point windows, and 100x
+    the faults with 2^18-point windows under a 1 MiB threshold (2-vCPU
+    x86-64, glibc).  Where mallopt is missing this does nothing.
     """
     try:
         mallopt = ctypes.CDLL(None).mallopt
     except (AttributeError, OSError, TypeError):
         return
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 1 << 20)
-    mallopt(_M_TRIM_THRESHOLD, 16 << 20)
+    mmap = max(1 << 20, 16 * points)
+    mallopt(_M_MMAP_THRESHOLD, mmap)
+    mallopt(_M_TRIM_THRESHOLD, 16 * mmap)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -415,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    _keep_window_buffers()
+    _keep_window_buffers(0)  # verify and scan raise them to their windows
     try:
         return args.func(args)
     except ResourceLimitError as exc:

@@ -113,8 +113,9 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
     evaluation, not one exponent per prime) takes the count of the
     odd-exponent primes and the exact log-limb totals of their logs, so no
     array of them is held: log_value is the exactly rounded log-sum,
-    math.fsum's value bit for bit.  A second pass forms the exact product,
-    only when log_value says it fits in exact_max_bits.
+    math.fsum's value bit for bit.  The same pass multiplies the blocks
+    while the log-sum so far says the product fits in exact_max_bits; past
+    that the product is dropped, since the log-sum only grows.
 
     Raises:
         DomainError: n not an integer, n < 1 or exact_max_bits < 0.
@@ -128,20 +129,20 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
     if n > table.limit:
         raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
     count = high = low = 0
+    exact: int | None = 1
     for ps in odd_exponent_blocks(table, n):
         count += len(ps)
         h, l = log_totals(ps)
         high += h
         low += l
-    log_value = limb_value((high, low))
-    # bit length of the product is log_value/log 2 up to rounding
-    exact: int | None = None
-    if log_value / math.log(2) <= exact_max_bits:
-        exact = 1
-        for ps in odd_exponent_blocks(table, n):
+        # bit length of the product is log/log 2 up to rounding
+        if exact is not None and limb_value((high, low)) / math.log(2) <= exact_max_bits:
             exact *= math.prod(ps.tolist())
-        if exact.bit_length() > exact_max_bits:
+        else:
             exact = None
+    log_value = limb_value((high, low))
+    if exact is not None and exact.bit_length() > exact_max_bits:
+        exact = None
     return PerfecterResult(n=n, count=count, log_value=log_value,
                            exact_value=exact)
 

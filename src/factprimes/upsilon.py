@@ -138,9 +138,9 @@ def upsilon_asymptotic_gap(table: PrimeTable, n: int) -> float:
 def _factor_pass(table: PrimeTable, lo: int, hi: int, root: int,
                  odd: np.ndarray | None = None,
                  limbs: tuple[np.ndarray, np.ndarray] | None = None):
-    """Omega(m) for every m in [lo, hi], by strided slices over the primes
-    p <= root (root >= isqrt(hi)); whatever is left of m after dividing those
-    out is 1 or one prime q > root, with exponent 1.
+    """Omega(m), as int8, for every m in [lo, hi], by strided slices over
+    the primes p <= root (root >= isqrt(hi)); whatever is left of m after
+    dividing those out is 1 or one prime q > root, with exponent 1.
 
     With odd (the parities of v_p((lo-1)!) for the primes <= root, updated
     in place to those of hi!) and limbs (their log limbs), also returns the
@@ -149,8 +149,10 @@ def _factor_pass(table: PrimeTable, lo: int, hi: int, root: int,
     power, and for q > root, v_q(m!) = m // q.
     """
     size = hi - lo + 1
-    counts = np.zeros(size, dtype=np.int64)
-    rem = np.arange(lo, hi + 1, dtype=np.int64)
+    # narrow dtypes keep the strided passes in cache: Omega(m) <= 62 for
+    # any int64 m, and the remainders fit int32 below 2^31
+    counts = np.zeros(size, dtype=np.int8)
+    rem = np.arange(lo, hi + 1, dtype=np.int32 if hi < 1 << 31 else np.int64)
     if odd is not None:
         d_high = np.zeros(size, dtype=np.int64)
         d_low = np.zeros(size, dtype=np.int64)
@@ -210,7 +212,7 @@ def omega_window(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
     if root > table.limit:
         raise OutOfRangeError(
             f"window up to {hi} needs primes to {root}, table stops at {table.limit}")
-    return _factor_pass(table, lo, hi, root)[0]
+    return _factor_pass(table, lo, hi, root)[0].astype(np.int64)
 
 
 class Columns(NamedTuple):
@@ -369,7 +371,7 @@ def _walk(table, n_from, n_to, window, perfecter, count):
     for lo in range(n_from, n_to + 1, window):
         hi = min(lo + window - 1, n_to)
         omega, deltas = _factor_pass(table, lo, hi, root, odd, limbs)
-        ups = np.cumsum(omega)
+        ups = np.cumsum(omega, dtype=np.int64)
         ups += ups_run
         ups_run = int(ups[-1])
         logs = pis = None
@@ -381,6 +383,7 @@ def _walk(table, n_from, n_to, window, perfecter, count):
             pi_run = int(pis[-1])
         del omega, deltas  # not held while the window is out
         yield Columns(np.arange(lo, hi + 1, dtype=np.int64), ups, logs, pis)
+        del ups, logs, pis  # nor the window while the next one is walked
 
 
 def upsilon_range(table: PrimeTable, n_from: int, n_to: int

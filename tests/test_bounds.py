@@ -363,29 +363,37 @@ def reduce_pointwise(tid, n_from, n_to, sampling, reports):
 class TestSweepEngine:
     @pytest.mark.parametrize("tid", ALL_IDS)
     def test_window_edges_match_pointwise(self, tid, table_big, monkeypatch):
-        # S32 costs one perfecter per point, so it spans its windows with a
-        # shorter WINDOW; every other id runs the real one
+        # walk windows of three slices and 17 points, so walk and slice
+        # edges differ; S32 costs one perfecter per point, so it spans its
+        # windows with 64-point slices, and every other id with the real ones
         if tid == "S32_perfecter":
-            monkeypatch.setattr(bounds, "WINDOW", 64)
+            monkeypatch.setattr(bounds, "SLICE", 64)
+        size = bounds.SLICE
+        walk = 3 * size + 17
+        monkeypatch.setattr(bounds, "walk_window", lambda n_to: walk)
         lo = 4 if tid == "S32_perfecter" else 3
-        hi = lo + 3 * bounds.WINDOW + 17
+        hi = lo + 2 * walk + 17
         windows = list(sweep(table_big, tid, lo, hi))
-        assert len(windows) == 4
-        assert [int(w.n[0]) for w in windows] == [lo + k * bounds.WINDOW for k in range(4)]
+        starts = [lo + k * walk + j * size for k in (0, 1) for j in range(4)] + [lo + 2 * walk]
+        if bounds.BOUNDS[tid].lhs in ("theta", "pi"):
+            # read from the table, not walked: slices only
+            starts = list(range(lo, hi + 1, size))
+        assert [int(w.n[0]) for w in windows] == starts
         reports, _ = verify_range(table_big, tid, lo, hi)
         assert [int(r.n) for r in reports] == list(range(lo, hi + 1))
-        edges = [lo, hi] + [lo + k * bounds.WINDOW + d for k in (1, 2, 3) for d in (-1, 0, 1)]
+        edges = [lo, hi] + [n + d for n in starts[1:] for d in (-1, 0, 1)]
         for n in edges:
             assert reports[n - lo] == evaluate_theorem(table_big, tid, n), n
 
     @pytest.mark.parametrize("n_from", [2, 3, 127, 12_602_987])
     def test_carried_pi_at_window_edges(self, n_from, table_big, monkeypatch):
         # pi(n) starts from the anchor's pi(n_from - 1) and grows by one
-        # where Omega(n) == 1, across windows of 7
-        monkeypatch.setattr(bounds, "WINDOW", 7)
+        # where Omega(n) == 1, across walk windows of 7 in slices of 5
+        monkeypatch.setattr(bounds, "walk_window", lambda n_to: 7)
+        monkeypatch.setattr(bounds, "SLICE", 5)
         n_to = n_from + 10 * 7 + 3
         cols = list(bounds.columns(table_big, ("mean",), n_from, n_to))
-        assert len(cols) == 11
+        assert [len(c.n) for c in cols] == [5, 2] * 10 + [4]
         ns = np.concatenate([c.n for c in cols])
         assert ns.tolist() == list(range(n_from, n_to + 1))
         assert np.concatenate([c.pi for c in cols]).tolist() == table_big.count(ns).tolist()

@@ -1,9 +1,11 @@
+import itertools
 import json
 import math
 import os
 import subprocess
 import sys
 from dataclasses import replace
+from decimal import Decimal
 from pathlib import Path
 
 import numpy as np
@@ -202,9 +204,11 @@ class TestVerify:
         ("TB4", 2), ("PI_LB", 2), ("PI_UB", 2), ("S32", 4)])
     def test_report_rows_across_slices(self, capsys, tmp_path, monkeypatch,
                                        table_small, theorem, n_from):
-        # 7-row slices inside 40-point windows: slice and window edges differ
+        # 7-row slices inside 16-point verdict slices of 40-point walk
+        # windows: the three kinds of edge differ
         monkeypatch.setattr(cli, "ROW_SLICE", 7)
-        monkeypatch.setattr(bounds, "WINDOW", 40)
+        monkeypatch.setattr(bounds, "walk_window", lambda n_to: 40)
+        monkeypatch.setattr(bounds, "SLICE", 16)
         out_file = tmp_path / "rows.csv"
         code, _, _ = run(capsys, "verify", theorem, "--from", str(n_from),
                          "--to", "150", "--out", str(out_file))
@@ -329,6 +333,19 @@ class TestPerfecter:
         code, _, _ = run(capsys, "perfecter", "0")
         assert code == 2
 
+    def test_kernel_above_the_int_string_limit(self, capsys):
+        # the kernel of 60000! has about 18000 digits, above the 4300 that
+        # str() converts by default; the limit stays as it was
+        limit = sys.get_int_max_str_digits()
+        code, out, _ = run(capsys, "perfecter", "60000", "--exact-max-bits", "100000")
+        assert code == 0 and sys.get_int_max_str_digits() == limit
+        (line,) = [x for x in out.splitlines() if x.startswith("  exact value = ")]
+        digits = line.removeprefix("  exact value = ")
+        assert len(digits) > 4300
+        kernel = math.prod(odd_exponent_primes(build_table(60000), 60000).tolist())
+        # Decimal reads and converts ints of any length
+        assert Decimal(digits) == Decimal(kernel) and digits.isdigit()
+
     @pytest.mark.parametrize("n", [4, 5, 100, 10007])
     def test_perfecter_computed_once(self, capsys, monkeypatch, n):
         rep = perfecter_bounds(build_table(n), n)
@@ -362,6 +379,43 @@ class TestPerfecter:
         code, out, err = run(capsys, "perfecter", "100", "--exact-max-bits", "-5")
         assert code == 2
         assert out == "" and "exact_max_bits" in err
+
+
+ALL_THEOREMS = ["T1", "T2", "C3", "T4", "T5", "TB2", "TB4", "PI_LB", "PI_UB", "S32"]
+
+
+class TestWindowSizes:
+    """What verify and scan print does not depend on the walk window or
+    the verdict slice."""
+
+    @pytest.mark.parametrize("theorem", ALL_THEOREMS)
+    # the second range crosses 65536, where walk_window steps from 2^14 to 2^15
+    @pytest.mark.parametrize("n_from,n_to", [(2, 1500), (65_300, 65_800)])
+    def test_verify_output(self, capsys, tmp_path, monkeypatch, theorem, n_from, n_to):
+        rule, size = bounds.walk_window, bounds.SLICE
+        out_file = tmp_path / "rows.csv"
+        outputs = {}
+        for walk, cut in itertools.product((7, 97, None), (5, 64, size)):
+            monkeypatch.setattr(bounds, "walk_window",
+                                rule if walk is None else lambda n_to, w=walk: w)
+            monkeypatch.setattr(bounds, "SLICE", cut)
+            code, out, _ = run(capsys, "verify", theorem, "--from", str(n_from),
+                               "--to", str(n_to), "--out", str(out_file))
+            outputs[walk, cut] = (code, out, out_file.read_bytes())
+        assert all(v == outputs[None, size] for v in outputs.values())
+
+    def test_scan_rows(self, capsys, tmp_path):
+        # every step-th row of the full scan, whether the step filters
+        # walked windows or anchors each row (a whole walk window or more)
+        def rows(step):
+            out = tmp_path / f"scan{step}.csv"
+            code, _, _ = run(capsys, "scan", "--from", "2", "--to", "20000",
+                             "--step", str(step), "--out", str(out))
+            assert code == 0
+            return out.read_text().splitlines()
+        header, *full = rows(1)
+        for step in (7, 97, bounds.walk_window(20000), 19_000):
+            assert rows(step) == [header] + full[::step], step
 
 
 def reference_scan(table, n_from, n_to, step):
@@ -435,9 +489,10 @@ class TestScan:
     @pytest.mark.parametrize("step", [7, 96, 97, 250])
     def test_rows_across_short_windows(self, capsys, tmp_path, table_small,
                                        monkeypatch, step):
-        # steps below WINDOW filter walked windows; steps of a whole window
-        # or more anchor every row
-        monkeypatch.setattr(bounds, "WINDOW", 97)
+        # steps below the walk window filter walked windows; steps of a
+        # whole window or more anchor every row
+        monkeypatch.setattr(bounds, "walk_window", lambda n_to: 97)
+        monkeypatch.setattr(bounds, "SLICE", 40)
         out = tmp_path / "scan.csv"
         code, _, _ = run(capsys, "scan", "--from", "1001", "--to", "3000",
                          "--step", str(step), "--out", str(out))

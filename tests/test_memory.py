@@ -9,6 +9,7 @@ import math
 import os
 import sys
 import tracemalloc
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -134,3 +135,45 @@ def test_no_cli_command_reads_the_prime_array(argv, monkeypatch, tmp_path, capsy
     monkeypatch.setattr(primes.PrimeTable, "primes", property(refuse))
     monkeypatch.chdir(tmp_path)
     assert cli.main(argv + ["--max-sieve", "13000000"]) in (cli.EXIT_OK, cli.EXIT_VIOLATION)
+
+
+def mallopt_calls(monkeypatch, argv):
+    """The glibc thresholds cli.main sets for argv, by parameter."""
+    calls = {}
+
+    def mallopt(param, value):
+        calls[param] = value
+        return 1
+    monkeypatch.setattr(cli.ctypes, "CDLL", lambda name: SimpleNamespace(mallopt=mallopt))
+    # a sieve cap of 2 refuses every run here before it builds a table
+    assert cli.main(argv + ["--max-sieve", "2"]) == cli.EXIT_RESOURCE
+    return calls[cli._M_MMAP_THRESHOLD], calls[cli._M_TRIM_THRESHOLD]
+
+
+@pytest.mark.parametrize("n_to", [70_000, 10**6, 4 * 10**6, 2 * 10**7, 10**8,
+                                  2 * 10**8, 10**12])
+@pytest.mark.parametrize("command", ["verify", "scan"])
+def test_mmap_threshold_covers_the_walk_window(monkeypatch, capsys, n_to, command):
+    # glibc serves a request of the mmap threshold or more (with its
+    # 16-byte header) by a fresh mapping, every page of which faults anew:
+    # an int64 array over the walk window must stay below the threshold,
+    # or an exhaustive T1 sweep to 2e7 takes 100x the minor faults
+    argv = (["verify", "T1"] if command == "verify" else ["scan", "--out", "scan.csv"])
+    mmap, trim = mallopt_calls(monkeypatch, argv + ["--from", "3", "--to", str(n_to)])
+    assert mmap > 8 * bounds.walk_window(n_to) + 16
+    assert trim >= 16 * mmap
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "T2", "--from", "3", "--to", "50100"],
+    ["verify", "C3", "--from", "12602987", "--to", "12622986"],
+    ["verify", "T4", "--from", "3", "--to", "20000000", "--log-samples", "200"],
+    ["verify", "TB2", "--from", "2", "--to", "100000000"],
+    ["scan", "--from", "2", "--to", "20000000", "--step", "600000", "--out", "scan.csv"],
+    ["perfecter", "20000000"],
+    ["decompose", "1000000"],
+], ids=lambda argv: "-".join(argv[:2]))
+def test_short_runs_keep_the_small_thresholds(monkeypatch, capsys, argv):
+    # runs that walk windows of at most 2^16 points, or none at all: theta
+    # and pi read the table, log-spaced points and wide steps are anchored
+    assert mallopt_calls(monkeypatch, argv) == (1 << 20, 16 << 20)

@@ -67,6 +67,17 @@ class TestPerfecterFactorial:
         assert small_cap.exact_value is None
         assert small_cap.log_value > 0
 
+    @pytest.mark.parametrize("n", [1, 4, 30, 97, 1000, 4000, 10_000])
+    def test_exact_value_on_both_sides_of_the_cap(self, table_small, n):
+        # the product is formed in the same pass as the log-sum; the cap
+        # may fall in any block of the pass
+        kernel = math.prod(odd_exponent_primes(table_small, n).tolist())
+        bits = kernel.bit_length()
+        for cap in (bits, bits + 1, 2 * bits, 10**6):
+            assert perfecter_factorial(table_small, n, exact_max_bits=cap).exact_value == kernel
+        for cap in {0, bits // 2, bits - 1}:
+            assert perfecter_factorial(table_small, n, exact_max_bits=cap).exact_value is None
+
     def test_log_equals_odd_class_theta(self, table_small):
         for n in (4, 5, 97, 1000, 10_000):
             res = perfecter_factorial(table_small, n)
@@ -136,18 +147,22 @@ def _factorint(k):
 
 class TestPerfecterSweep:
     def test_walker_matches_pointwise_every_n(self, table_big, pointwise_logs):
-        walked = [x for cols in factorial_windows(table_big, 2, SWEEP_TO, bounds.WINDOW,
+        walked = [x for cols in factorial_windows(table_big, 2, SWEEP_TO,
+                                                   bounds.walk_window(SWEEP_TO),
                                                    perfecter=True)
                   for x in cols.log_perfecter.tolist()]
         assert walked == pointwise_logs[2:]
 
     def test_short_unaligned_windows(self, table_big, pointwise_logs, monkeypatch):
         # the S32 sweep restarts at an arbitrary n and carries the set
-        # across many short windows
-        monkeypatch.setattr(bounds, "WINDOW", 97)
+        # across many short walk windows, each judged in slices of 40
+        monkeypatch.setattr(bounds, "walk_window", lambda n_to: 97)
+        monkeypatch.setattr(bounds, "SLICE", 40)
         lo = 1234
         windows = list(bounds.sweep(table_big, "S32", lo, SWEEP_TO))
-        assert [len(w.n) for w in windows[:-1]] == [97] * (len(windows) - 1)
+        walks = [min(97, SWEEP_TO + 1 - a) for a in range(lo, SWEEP_TO + 1, 97)]
+        assert [len(w.n) for w in windows] == [
+            min(40, size - i) for size in walks for i in range(0, size, 40)]
         walked = [x for w in windows for x in w.lhs.tolist()]
         assert walked == pointwise_logs[lo:]
 

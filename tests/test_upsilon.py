@@ -115,6 +115,11 @@ class TestRangeScanner:
         for n, u in zip(ns, ups):
             assert u - ups[0] == sum(omega(m) for m in range(lo + 1, int(n) + 1))
 
+    def test_omega_window_is_int64(self, table_small, table_big):
+        # the factor pass counts in int8; the public window does not
+        assert omega_window(table_small, 2, 600).dtype == np.int64
+        assert omega_window(table_big, 10**7, 10**7 + 5000).dtype == np.int64
+
     def test_omega_window_matches_trial_division(self, table_small):
         got = omega_window(table_small, 2, 600)
         assert list(got) == [omega(m) for m in range(2, 601)]
