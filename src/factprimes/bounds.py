@@ -20,15 +20,17 @@ plus the table-backed checks TB2/TB4 (theta deviation), PI_LB/PI_UB
 (prime-count bounds) and S32_perfecter (two-sided perfecter bound).
 
 Each of these is one :class:`Bound` record in ``BOUNDS``, its only
-description.  :func:`columns` chooses the points, in slices of ``SLICE``,
-and :func:`evaluate` decides the verdicts of a slice; ``sweep``,
-``verify`` and ``scan`` call both.  Exact left-hand sides come from
-upsilon.factorial_windows over a range, in windows of
-``walk_window(n_to)`` points, and from upsilon.factorial_points at
-scattered points; pi reads the table, and theta its log directory at
-scattered points and its log prefix along runs, at real n too.
-Pointwise evaluation is a one-point slice and :func:`rhs_value` a
-one-point rhs, so all agree bit for bit.  Memory stays O(walk window).
+description.  :func:`columns` chooses the points, in slices of
+``slice_points(n_to)``, and :func:`evaluate` decides the verdicts of a
+slice; ``sweep``, ``verify`` and ``scan`` call both.  Exact left-hand sides
+come from upsilon.factorial_windows over a range, a factor pass per window
+of ``walk_window(n_to)`` points with the running sums carried slice by
+slice, and from upsilon.factorial_points at scattered points; pi reads the
+table, and theta is carried slice by slice in exact log limbs along runs
+and read from the table's log directory at scattered points, at real n
+too.  Pointwise evaluation is a one-point slice and :func:`rhs_value` a
+one-point rhs, so all agree bit for bit.  Memory stays O(slice), beyond
+the factor pass's narrow window arrays.
 
 Note the T1 right-hand side contains (n-1) * log log(n-1), which diverges
 to -inf at n = 2; the verifier evaluates and reports exactly that, so the
@@ -47,7 +49,7 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .primes import PrimeTable, _integer, theta
+from .primes import PrimeTable, _integer, theta, theta_from
 from .report import MARGINAL_SLACK, BoundReport
 from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
                                 exp_integral, integrate)
@@ -475,17 +477,20 @@ def rhs_value(theorem_id: str, n: float,
 
 # -------------------------------------------------------------- sweep engine
 
-# Points per verdict slice: evaluate's temporaries stay cache-sized,
-# whatever the walk window.
-SLICE = 1 << 14
-
-
 def walk_window(n_to: int) -> int:
     """Points per factor-pass window of a walk ending at n_to >= 1.  A window
     costs a strided pass per prime up to isqrt(n_to) plus a part linear in
     its points, so it is the power of two above 64 isqrt(n_to), from 2^14
     (below 65536) to 2^19 (from 2^24 on)."""
     return min(max(1 << (64 * math.isqrt(n_to)).bit_length(), 1 << 14), 1 << 19)
+
+
+def slice_points(n_to: int) -> int:
+    """Points per verdict slice of a sweep ending at n_to >= 1, for every
+    kind: a quarter of the walk window, at most 2^14 (2^12 below 65536,
+    2^13 below 2^18).  evaluate's temporaries stay cache-sized, and short
+    runs small; below 2^14 the per-slice overhead shows on long runs."""
+    return min(1 << 14, walk_window(n_to) // 4)
 
 
 def walk_points(kinds: tuple[str, ...], n_from: int, n_to: int, *, step: int = 1,
@@ -546,9 +551,9 @@ def _mean_holds(upper: bool, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
 def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: ConstantsTable
              ) -> Window:
     """Evaluate one bound at the points cols.n, from the exact left-hand
-    sides in cols (the mean reads cols.pi, theta cols.theta where it is
-    carried and the table's log prefix elsewhere, and pi the table; theta
-    and pi take float64 points too): the one place a verdict is decided."""
+    sides in cols (the mean reads cols.pi, theta cols.theta, and pi the
+    table; theta and pi take float64 points too): the one place a verdict
+    is decided."""
     ns = cols.n
     nf = ns.astype(np.float64)
     if bound.lhs == "perfecter":
@@ -559,21 +564,17 @@ def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: Constant
         holds = (lhs > lower) & (lhs < rhs)
     else:
         rhs = bound.rhs_at(nf, constants)
-        ups = cols.upsilon
         if bound.lhs == "upsilon":
-            lhs = ups.astype(np.float64)
+            lhs = cols.upsilon.astype(np.float64)
+        elif bound.lhs == "mean":
+            lhs = cols.upsilon / cols.pi
+        elif bound.lhs == "theta":
+            lhs = np.abs(cols.theta - ns)
         else:
-            pis = cols.pi if bound.lhs == "mean" else table.count(ns)
-            if bound.lhs == "mean":
-                lhs = ups / pis
-            elif bound.lhs == "theta":
-                theta_n = table.log_prefix[pis - 1] if cols.theta is None else cols.theta
-                lhs = np.abs(theta_n - ns)
-            else:
-                lhs = pis.astype(np.float64)
+            lhs = table.count(ns).astype(np.float64)
         slack = rhs - lhs if bound.upper else lhs - rhs
         if bound.lhs == "mean":
-            holds = _mean_holds(bound.upper, ups, pis, lhs, rhs, slack)
+            holds = _mean_holds(bound.upper, cols.upsilon, cols.pi, lhs, rhs, slack)
         else:
             holds = _COMPARE[bound.sense](lhs, rhs)
     return Window(ns, lhs, rhs, slack, holds, ns >= bound.start,
@@ -602,19 +603,23 @@ def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
     return pts[np.r_[True, pts[1:] != pts[:-1]]]
 
 
-def _walked(walk: Iterator[Columns], n_from: int, n_to: int, step: int
-            ) -> Iterator[Columns]:
-    """Every step-th row from n_from of the consecutive walked windows,
-    SLICE rows at a time.  The slices of a window longer than SLICE that
-    another follows are copies, so no slice a caller still holds keeps the
-    whole window alive while the next one is walked."""
+def _walked(walk: Iterator[Columns], n_from: int, step: int) -> Iterator[Columns]:
+    """Every step-th row from n_from of the consecutive walked pieces; a
+    piece shorter than its offset has none."""
     for cols in walk:
-        own = len(cols.n) > SLICE and cols.n[-1] < n_to
-        for i in range((n_from - int(cols.n[0])) % step, len(cols.n), SLICE * step):
-            cut = slice(i, i + SLICE * step, step)
-            yield Columns(*(None if a is None else a[cut].copy() if own else a[cut]
-                            for a in cols))
-        del cols
+        start = (n_from - int(cols.n[0])) % step
+        if start < len(cols.n):
+            yield Columns(*(None if a is None else a[start::step] for a in cols))
+
+
+def _theta_runs(table: PrimeTable, chunks: Iterator[np.ndarray]) -> Iterator[Columns]:
+    # theta along consecutive chunks of a run of integer points, its limb
+    # totals carried from 0 and from one chunk to the next
+    done, totals = 0, (0, 0)
+    for ns in chunks:
+        theta_n, totals = theta_from(table, ns, done, totals)
+        done = int(ns[-1])
+        yield Columns(ns, None, None, theta=theta_n)
 
 
 def columns(table: PrimeTable, kinds: tuple[str, ...], n_from: int, n_to: int, *,
@@ -622,30 +627,34 @@ def columns(table: PrimeTable, kinds: tuple[str, ...], n_from: int, n_to: int, *
     """The points n_from, n_from + step, ... <= n_to, or log_samples
     log-spaced points, with the exact left-hand sides of the kinds kinds
     (Bound.lhs values; pi(n) is computed only for "mean"), in ascending
-    slices of at most SLICE points.  Steps below walk_window(n_to) walk
-    factorial_windows in windows of walk_points and keep every step-th
-    row; log-spaced points and wider steps go through factorial_points,
-    since one anchor costs about as much as walking one window.  The
-    arguments are checked here."""
+    slices of at most slice_points(n_to) points.  Steps below
+    walk_window(n_to) walk factorial_windows in windows of walk_points, in
+    pieces of a slice times step, and keep every step-th row; log-spaced
+    points and wider steps go through factorial_points, since one anchor
+    costs about as much as walking one window.  Runs of theta points carry
+    theta(n) from slice to slice.  The arguments are checked here."""
     _check_range(table, n_from, n_to)
     n_from, n_to = int(n_from), int(n_to)
     if step < 1 or (step > 1 and log_samples is not None):
         raise DomainError(f"bad step {step} (with log_samples={log_samples})")
+    size = slice_points(n_to)
     window = walk_points(kinds, n_from, n_to, step=step, log_samples=log_samples)
     if window:
-        walk = factorial_windows(table, n_from, n_to, window,
+        walk = factorial_windows(table, n_from, n_to, window, piece=size * step,
                                  perfecter="perfecter" in kinds, count="mean" in kinds)
-        return _walked(walk, n_from, n_to, step)
+        return _walked(walk, n_from, step)
     if log_samples is not None:
         points = log_spaced(n_from, n_to, log_samples)
-        chunks = (points[i:i + SLICE] for i in range(0, len(points), SLICE))
+        chunks = (points[i:i + size] for i in range(0, len(points), size))
     else:
-        span = SLICE * step
+        span = size * step
         chunks = (np.arange(lo, min(lo + span, n_to + 1), step, dtype=np.int64)
                   for lo in range(n_from, n_to + 1, span))
         if step < walk_window(n_to):
-            # runs of points, not scattered ones: theta reads the table's
-            # log prefix in evaluate
+            # runs of points, not scattered ones: theta is carried along
+            # them, and pi read from the table in evaluate
+            if "theta" in kinds:
+                return _theta_runs(table, chunks)
             return (Columns(ns, None, None) for ns in chunks)
     return (_points(table, kinds, ns) for ns in chunks)
 

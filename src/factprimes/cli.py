@@ -10,7 +10,8 @@ floats as %.12g, which is fmt byte for byte; scalar lines use fmt.
 verify and scan take their points and verdicts from bounds.columns and
 bounds.evaluate; no bound formula, comparison or start is restated here.
 --jobs is accepted for compatibility and has no effect: threads measured
-no gain for verify and a slowdown for scan.
+no gain for verify and a slowdown for scan.  A count below 1 is still
+refused as a bad argument.
 
 Exit codes: 0 success / all checks hold, 1 a verified inequality failed or
 a constant missed its tolerance, 2 bad arguments, 3 resource limits or
@@ -377,6 +378,17 @@ def _keep_window_buffers(points: int) -> None:
     mallopt(_M_TRIM_THRESHOLD, 16 * mmap)
 
 
+def _job_count(text: str) -> int:
+    # argparse reports the error on stderr and exits with EXIT_USAGE
+    try:
+        jobs = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if jobs < 1:
+        raise argparse.ArgumentTypeError(f"must be at least 1, got {jobs}")
+    return jobs
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="factprimes",
@@ -405,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--log-samples", type=int, default=None, metavar="K",
                       help="check K geometrically spaced points instead")
     p.add_argument("--out", default=None, help="write per-n CSV report here")
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_job_count, default=1,
                    help="accepted for compatibility; has no effect")
     add_max_sieve(p)
     p.set_defaults(func=cmd_verify)
@@ -428,7 +440,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="n_to", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=int, default=1,
+    p.add_argument("--jobs", type=_job_count, default=1,
                    help="accepted for compatibility; has no effect")
     add_max_sieve(p)
     p.set_defaults(func=cmd_scan)

@@ -11,9 +11,9 @@ theta and pi bounds are records of the bound registry (``bounds.BOUNDS``);
 
 Sums of prime logarithms are exact: every theta value is the correctly
 rounded sum of its ``log p`` terms, as ``math.fsum`` would return it (see
-:func:`log_limbs`).  ``theta`` reads the table's small log directory, and
-the theta bounds' sweeps over consecutive points the prefix of every
-prime; each is built on first use.
+:func:`log_limbs`).  ``theta`` reads the table's small log directory, built
+on first use, and :func:`theta_from` carries the limb totals along runs of
+points, so the theta bounds' sweeps hold no array over all primes.
 """
 
 from __future__ import annotations
@@ -30,8 +30,8 @@ from .errors import DomainError, OutOfRangeError, ResourceLimitError
 from .report import BoundReport
 
 # Hard cap on the sieve limit.  The table takes 3/32 of a byte a number,
-# about 19 MB at the cap; the first use of primes or log_prefix adds 8 bytes
-# a prime each (11.1e6 primes at the cap).
+# about 19 MB at the cap; the first use of primes or log_prefix, which no
+# query reads, adds 8 bytes a prime each (11.1e6 primes at the cap).
 DEFAULT_LIMIT_CAP = 200_000_000
 
 
@@ -140,9 +140,10 @@ class PrimeTable:
 
     ``primes`` (every prime, int64) and ``log_prefix`` (``log_prefix[i]``
     equals ``sum(log(primes[j]) for j <= i)``, correctly rounded) are
-    computed on first use, for callers that need all of them.  So is
-    ``log_directory``, the exact log-limb totals at every _LOG_STEP values
-    (about limit/512 bytes), through which ``log_totals_in`` sums the logs
+    computed on first use, for callers that need all of them; the
+    package's own queries read neither.  So is ``log_directory``, the
+    exact log-limb totals at every _LOG_STEP values (about limit/512
+    bytes), through which ``log_totals_in`` sums the logs
     of a value range while unpacking only its two ends.  Every array is
     read-only.  Two threads that read a cached array first at the same
     time may both compute it, with the same result.
@@ -366,6 +367,30 @@ def theta(table: PrimeTable, x: float) -> float:
     if x > table.limit:
         raise OutOfRangeError(f"theta({x}) exceeds table limit {table.limit}")
     return limb_value(table.log_totals_in(0, math.floor(x)))
+
+
+def theta_from(table: PrimeTable, ns: np.ndarray, done: int, totals: tuple[int, int]
+               ) -> tuple[np.ndarray, tuple[int, int]]:
+    """theta at the ascending integer points ns, all in (done, table.limit],
+    from the limb totals of the primes up to done; returned with the limb
+    totals of the primes up to ns[-1].  The primes in between are unpacked
+    _VALUE_BLOCK values at a time, and each point takes the correctly
+    rounded total of those at or below it, as theta gives it."""
+    out = np.empty(len(ns))
+    last = int(ns[-1])
+    for a in range(done, last, _VALUE_BLOCK):
+        b = min(a + _VALUE_BLOCK, last)
+        i, j = np.searchsorted(ns, (a, b), side="right")  # the points in (a, b]
+        ps = table.primes_in(a, b)
+        if len(ps):
+            prefix, after = limb_prefix(*log_limbs(np.log(ps.astype(np.float64))), totals)
+            # each prime counts from the first point at or above it on
+            cuts = np.concatenate(([0], np.searchsorted(ns[i:j], ps), [j - i]))
+            out[i:j] = np.repeat(np.concatenate(([limb_value(totals)], prefix)), np.diff(cuts))
+            totals = after
+        else:
+            out[i:j] = limb_value(totals)
+    return out, totals
 
 
 def nth_prime(table: PrimeTable, k: int) -> int:

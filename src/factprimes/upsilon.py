@@ -228,18 +228,20 @@ class Columns(NamedTuple):
 
 
 def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
-                      *, perfecter: bool = False, count: bool = False
-                      ) -> Iterator[Columns]:
-    """Columns for every n in [n_from, n_to], in windows of window points.
+                      *, perfecter: bool = False, count: bool = False,
+                      piece: int | None = None) -> Iterator[Columns]:
+    """Columns for every n in [n_from, n_to], in pieces of at most piece
+    points (default window) of windows of window points.
 
     Anchored once at n_from - 1 by the O(sqrt n) evaluation; from there
     upsilon(n) = upsilon(n-1) + Omega(n), and the odd-exponent set of n!
     changes from that of (n-1)! in the primes dividing n to an odd power.
-    Both come from one strided factor pass per window.  With perfecter the
-    log-sum over the odd-exponent set is carried in exact limbs (see
-    primes.log_limbs), so every value is math.fsum over the same logs, bit
-    for bit.  With count, pi(n) is carried too: it grows by one where
-    Omega(n) == 1.  The arguments are checked when this is called.
+    Both come from one strided factor pass per window, and the running sums
+    are carried over it piece by piece, so no column is built window-long.
+    With perfecter the log-sum over the odd-exponent set is carried in exact
+    limbs (see primes.log_limbs), so every value is math.fsum over the same
+    logs, bit for bit.  With count, pi(n) is carried too: it grows by one
+    where Omega(n) == 1.  The arguments are checked when this is called.
 
     Raises:
         DomainError: n_from < 2 or an empty range.
@@ -249,7 +251,7 @@ def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
         raise DomainError(f"bad range [{n_from}, {n_to}]")
     if n_to > table.limit:
         raise OutOfRangeError(f"n_to={n_to} exceeds table limit {table.limit}")
-    return _walk(table, n_from, n_to, window, perfecter, count)
+    return _walk(table, n_from, n_to, window, piece or window, perfecter, count)
 
 
 # Above isqrt(n), the primes with n // p = q are the value run
@@ -358,7 +360,7 @@ def factorial_points(table: PrimeTable, ns: np.ndarray, *,
     return Columns(ns, ups, logs, pis)
 
 
-def _walk(table, n_from, n_to, window, perfecter, count):
+def _walk(table, n_from, n_to, window, piece, perfecter, count):
     root = math.isqrt(n_to)
     ups_run, parity, pi_run, totals = _anchor(table, n_from - 1, perfecter)
     odd = limbs = None
@@ -371,19 +373,20 @@ def _walk(table, n_from, n_to, window, perfecter, count):
     for lo in range(n_from, n_to + 1, window):
         hi = min(lo + window - 1, n_to)
         omega, deltas = _factor_pass(table, lo, hi, root, odd, limbs)
-        ups = np.cumsum(omega, dtype=np.int64)
-        ups += ups_run
-        ups_run = int(ups[-1])
-        logs = pis = None
-        if perfecter:
-            logs, totals = limb_prefix(*deltas, totals)
-        if count:
-            pis = np.cumsum(omega == 1, dtype=np.int32)
-            pis += pi_run
-            pi_run = int(pis[-1])
-        del omega, deltas  # not held while the window is out
-        yield Columns(np.arange(lo, hi + 1, dtype=np.int64), ups, logs, pis)
-        del ups, logs, pis  # nor the window while the next one is walked
+        for a in range(0, hi - lo + 1, piece):
+            b = min(a + piece, hi - lo + 1)
+            ups = np.cumsum(omega[a:b], dtype=np.int64)
+            ups += ups_run
+            ups_run = int(ups[-1])
+            logs = pis = None
+            if perfecter:
+                logs, totals = limb_prefix(deltas[0][a:b], deltas[1][a:b], totals)
+            if count:
+                pis = np.cumsum(omega[a:b] == 1, dtype=np.int32)
+                pis += pi_run
+                pi_run = int(pis[-1])
+            yield Columns(np.arange(lo + a, lo + b, dtype=np.int64), ups, logs, pis)
+        del omega, deltas  # not held while the next window is walked
 
 
 def upsilon_range(table: PrimeTable, n_from: int, n_to: int

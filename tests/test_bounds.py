@@ -162,6 +162,13 @@ class TestEpsilonInequality:
         print(f"\nsampled inf of (rhs - integral) = {min(margins):.9f} "
               f"(tabulated eps = {eps})")
 
+    @staticmethod
+    def gap(n):
+        """g(n) = rhs - (li(n) - li(2)), in mpmath at the working precision."""
+        lg = mpmath.log(n)
+        rhs = n * sum(mpmath.factorial(k - 1) / lg**k for k in range(1, 5)) + 51 * n / lg**5
+        return rhs - (mpmath.li(n) - mpmath.li(2))
+
     def test_fails_exactly_on_12630_to_12646(self, constants):
         # the README finding, at 30 digits: the margin rhs - (li(n) - li(2))
         # - eps is negative at exactly these 17 integers of [12600, 12680]
@@ -170,15 +177,31 @@ class TestEpsilonInequality:
             eps = mpmath.mpf(constants.eps)
 
             def margin(n):
-                lg = mpmath.log(n)
-                rhs = (n * sum(mpmath.factorial(k - 1) / lg**k for k in range(1, 5))
-                       + 51 * n / lg**5)
-                return rhs - (mpmath.li(n) - mpmath.li(2)) - eps
+                return self.gap(n) - eps
 
             failing = [n for n in range(12_600, 12_681) if margin(n) < 0]
             assert failing == list(range(12_630, 12_647))
             assert 4e-9 < margin(12_629) < 5e-9
             assert -2.1e-8 < margin(12_630) < -2e-8
+
+    def test_infimum_lies_below_eps(self, constants):
+        # the infimum of g over the reals, where g' = 0 near 12637.76, at 30
+        # digits: the tabulated eps exceeds it by 1.111e-7, which is why the
+        # integers 12630..12646 fail
+        with mpmath.workdps(30):
+            def slope(n):  # g'(n): d/dn n / log^k n = 1 / log^k n - k / log^(k+1) n
+                lg = mpmath.log(n)
+                return (sum(mpmath.factorial(k - 1) / lg**k - mpmath.factorial(k) / lg**(k + 1)
+                            for k in range(1, 5))
+                        + 51 / lg**5 - 255 / lg**6 - 1 / lg)
+
+            argmin = mpmath.findroot(slope, 12_637.76)
+            g_min = self.gap(argmin)
+            assert abs(argmin - mpmath.mpf("12637.7600965")) < 1e-7
+            assert abs(g_min - mpmath.mpf("0.144266335895628")) < 1e-15
+            assert self.gap(argmin - 1) > g_min < self.gap(argmin + 1)
+            assert abs(mpmath.diff(self.gap, argmin)) < 1e-20
+            assert 1.110e-7 < mpmath.mpf(constants.eps) - g_min < 1.112e-7
 
     def test_s2_lower_chain_from_564(self, table_small, constants):
         for n in (564, 1000, 5000, 10_000):
@@ -365,12 +388,12 @@ class TestSweepEngine:
     def test_window_edges_match_pointwise(self, tid, table_big, monkeypatch):
         # walk windows of three slices and 17 points, so walk and slice
         # edges differ; S32 costs one perfecter per point, so it spans its
-        # windows with 64-point slices, and every other id with the real ones
-        if tid == "S32_perfecter":
-            monkeypatch.setattr(bounds, "SLICE", 64)
-        size = bounds.SLICE
+        # windows with 64-point slices, and every other id with those of
+        # long runs
+        size = 64 if tid == "S32_perfecter" else bounds.slice_points(10**8)
         walk = 3 * size + 17
         monkeypatch.setattr(bounds, "walk_window", lambda n_to: walk)
+        monkeypatch.setattr(bounds, "slice_points", lambda n_to: size)
         lo = 4 if tid == "S32_perfecter" else 3
         hi = lo + 2 * walk + 17
         windows = list(sweep(table_big, tid, lo, hi))
@@ -390,7 +413,7 @@ class TestSweepEngine:
         # pi(n) starts from the anchor's pi(n_from - 1) and grows by one
         # where Omega(n) == 1, across walk windows of 7 in slices of 5
         monkeypatch.setattr(bounds, "walk_window", lambda n_to: 7)
-        monkeypatch.setattr(bounds, "SLICE", 5)
+        monkeypatch.setattr(bounds, "slice_points", lambda n_to: 5)
         n_to = n_from + 10 * 7 + 3
         cols = list(bounds.columns(table_big, ("mean",), n_from, n_to))
         assert [len(c.n) for c in cols] == [5, 2] * 10 + [4]
@@ -403,6 +426,19 @@ class TestSweepEngine:
                 assert c.pi.tolist() == table_big.count(c.n).tolist(), (step, samples)
         # only the mean reads it
         assert all(c.pi is None for c in bounds.columns(table_big, ("upsilon",), n_from, n_to))
+
+    @pytest.mark.parametrize("n_from,step", [(2, 1), (3, 1), (262_140, 1), (2, 7),
+                                             (1001, 997), (2, 70_001)])
+    def test_carried_theta_is_the_prefix(self, n_from, step, table_big, monkeypatch):
+        # theta along runs of points, carried across 5000-point slices and
+        # the value blocks of primes_in, is the whole-table prefix bit for
+        # bit, as are scattered points (a step of a walk window or more)
+        monkeypatch.setattr(bounds, "slice_points", lambda n_to: 5000)
+        cols = list(bounds.columns(table_big, ("theta",), n_from, 600_000, step=step))
+        ns = np.concatenate([c.n for c in cols])
+        assert ns.tolist() == list(range(n_from, 600_001, step))
+        theta_n = np.concatenate([c.theta for c in cols])
+        assert theta_n.tolist() == table_big.log_prefix[table_big.count(ns) - 1].tolist()
 
     @pytest.mark.parametrize("tid", ALL_IDS)
     @pytest.mark.parametrize("log_samples", [None, 40])
@@ -437,12 +473,13 @@ class TestSweepEngine:
     @pytest.mark.parametrize("tid", ["T1", "T2", "C3", "T4", "T5", "TB2", "TB4",
                                      "PI_LB", "PI_UB", "S32"])
     def test_scalar_rhs_is_the_sweep_rhs(self, tid, table_small):
-        (window,) = sweep(table_small, tid, 4 if tid == "S32" else 2, 5000)
-        for i in (0, 1, 977, len(window.n) - 1):
-            n = int(window.n[i])
+        windows = list(sweep(table_small, tid, 4 if tid == "S32" else 2, 5000))
+        ns, rhs = (np.concatenate([getattr(w, f) for w in windows]) for f in ("n", "rhs"))
+        for i in (0, 1, 977, len(ns) - 1):
+            n = int(ns[i])
             value = rhs_value(tid, n)
             assert type(value) is float
-            assert value == window.rhs[i] == evaluate_theorem(table_small, tid, n).rhs
+            assert value == rhs[i] == evaluate_theorem(table_small, tid, n).rhs
         for bad in (1, math.nan, math.inf, -math.inf, 10**400):
             with pytest.raises(DomainError):
                 rhs_value(tid, bad)

@@ -167,6 +167,18 @@ class TestVerify:
         assert out1 == out2
         assert f1.read_bytes() == f2.read_bytes()
 
+    @pytest.mark.parametrize("command", [["verify", "T1"], ["scan", "--out", "scan.csv"]])
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_is_a_bad_argument(self, capsys, tmp_path, monkeypatch,
+                                              command, jobs):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(command + ["--from", "3", "--to", "100", "--jobs", jobs])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert captured.out == "" and "--jobs: must be at least 1" in captured.err
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_unknown_theorem(self, capsys):
         code, _, err = run(capsys, "verify", "T7", "--from", "2", "--to", "10")
         assert code == 2
@@ -208,7 +220,7 @@ class TestVerify:
         # windows: the three kinds of edge differ
         monkeypatch.setattr(cli, "ROW_SLICE", 7)
         monkeypatch.setattr(bounds, "walk_window", lambda n_to: 40)
-        monkeypatch.setattr(bounds, "SLICE", 16)
+        monkeypatch.setattr(bounds, "slice_points", lambda n_to: 16)
         out_file = tmp_path / "rows.csv"
         code, _, _ = run(capsys, "verify", theorem, "--from", str(n_from),
                          "--to", "150", "--out", str(out_file))
@@ -392,17 +404,19 @@ class TestWindowSizes:
     # the second range crosses 65536, where walk_window steps from 2^14 to 2^15
     @pytest.mark.parametrize("n_from,n_to", [(2, 1500), (65_300, 65_800)])
     def test_verify_output(self, capsys, tmp_path, monkeypatch, theorem, n_from, n_to):
-        rule, size = bounds.walk_window, bounds.SLICE
+        # None is the rule; slice_points follows a patched walk window
+        rule, sizes = bounds.walk_window, bounds.slice_points
         out_file = tmp_path / "rows.csv"
         outputs = {}
-        for walk, cut in itertools.product((7, 97, None), (5, 64, size)):
+        for walk, cut in itertools.product((7, 97, None), (5, 64, None)):
             monkeypatch.setattr(bounds, "walk_window",
                                 rule if walk is None else lambda n_to, w=walk: w)
-            monkeypatch.setattr(bounds, "SLICE", cut)
+            monkeypatch.setattr(bounds, "slice_points",
+                                sizes if cut is None else lambda n_to, c=cut: c)
             code, out, _ = run(capsys, "verify", theorem, "--from", str(n_from),
                                "--to", str(n_to), "--out", str(out_file))
             outputs[walk, cut] = (code, out, out_file.read_bytes())
-        assert all(v == outputs[None, size] for v in outputs.values())
+        assert all(v == outputs[None, None] for v in outputs.values())
 
     def test_scan_rows(self, capsys, tmp_path):
         # every step-th row of the full scan, whether the step filters
@@ -492,7 +506,7 @@ class TestScan:
         # steps below the walk window filter walked windows; steps of a
         # whole window or more anchor every row
         monkeypatch.setattr(bounds, "walk_window", lambda n_to: 97)
-        monkeypatch.setattr(bounds, "SLICE", 40)
+        monkeypatch.setattr(bounds, "slice_points", lambda n_to: 40)
         out = tmp_path / "scan.csv"
         code, _, _ = run(capsys, "scan", "--from", "1001", "--to", "3000",
                          "--step", str(step), "--out", str(out))

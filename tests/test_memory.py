@@ -1,8 +1,9 @@
 """Memory contracts, measured with tracemalloc (numpy reports its buffers
 to it): the prime table costs its bits and ranks plus one sieve segment,
 one factorial point costs O(sqrt N), or one value block with its perfecter
-log, and a perfecter or a decomposition costs one block of temporaries
-beyond what it returns.
+log, a perfecter or a decomposition costs one block of temporaries beyond
+what it returns, and a walked sweep one verdict slice plus a byte a point
+of its walk window.
 """
 
 import math
@@ -114,7 +115,24 @@ def test_no_query_builds_the_prime_array():
     assert "log_prefix" not in vars(table)
     for tid, lo in starts.items():
         list(bounds.sweep(table, tid, lo, 70_000))
-    assert "primes" not in vars(table)
+    # nor do runs of theta points: they carry theta slice by slice
+    assert "primes" not in vars(table) and "log_prefix" not in vars(table)
+
+
+def test_walked_sweep_memory_does_not_grow_with_the_walk_window(table, monkeypatch):
+    # the running sums are carried one verdict slice at a time, so the
+    # only window-long array held while slices are out is the factor
+    # pass's int8 Omega: a byte a point, against 20 with window-long sums
+    size = bounds.slice_points(N)
+    monkeypatch.setattr(bounds, "slice_points", lambda n_to: size)
+    peaks = {}
+    for walk in (1 << 15, 1 << 17):
+        monkeypatch.setattr(bounds, "walk_window", lambda n_to, w=walk: w)
+        windows = bounds.sweep(table, "T2", 3, N)
+        summary, peaks[walk] = traced_peak(bounds.summarize_reports, "T2", 3, N, None,
+                                           windows)
+        assert summary.all_hold and summary.n_checked == N - 2
+    assert peaks[1 << 17] - peaks[1 << 15] <= 2 * ((1 << 17) - (1 << 15))
 
 
 @pytest.mark.parametrize("argv", [

@@ -157,7 +157,7 @@ class TestPerfecterSweep:
         # the S32 sweep restarts at an arbitrary n and carries the set
         # across many short walk windows, each judged in slices of 40
         monkeypatch.setattr(bounds, "walk_window", lambda n_to: 97)
-        monkeypatch.setattr(bounds, "SLICE", 40)
+        monkeypatch.setattr(bounds, "slice_points", lambda n_to: 40)
         lo = 1234
         windows = list(bounds.sweep(table_big, "S32", lo, SWEEP_TO))
         walks = [min(97, SWEEP_TO + 1 - a) for a in range(lo, SWEEP_TO + 1, 97)]

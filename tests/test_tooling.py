@@ -1,13 +1,27 @@
 """The pytest configuration shows a failing property test's falsifying
 example, rather than ending the run in an INTERNALERROR while reporting it;
-the single-point commands import no numpy module lazily."""
+the single-point commands import no numpy module lazily; no file that
+.gitignore excludes (a build or test artifact) is tracked."""
 
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"
+
+
+def test_no_ignored_file_is_tracked():
+    root = PYPROJECT.parent
+    if shutil.which("git") is None or not (root / ".git").exists():
+        pytest.skip("not a git checkout")
+    run = subprocess.run(["git", "ls-files", "-ci", "--exclude-standard"], cwd=root,
+                         capture_output=True, text=True, timeout=60)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout == ""
 
 
 def test_failing_property_test_shows_its_example(tmp_path):
