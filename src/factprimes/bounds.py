@@ -40,7 +40,6 @@ n = 2 endpoint of T1's claimed window comes out as a violation.
 from __future__ import annotations
 
 import math
-import sys
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -48,8 +47,8 @@ from typing import Callable, Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .primes import PrimeTable, _integer, theta, theta_from
+from .errors import DomainError, ResourceLimitError, checked
+from .primes import PrimeTable, theta, theta_from
 from .report import MARGINAL_SLACK, BoundReport
 from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
                                 exp_integral, integrate)
@@ -174,26 +173,22 @@ def error_terms(n: float) -> ErrorTerms:
     """Evaluate all six error terms at n (binary64 closed forms).
 
     e2 involves the exponential integral at log(n-1), which diverges as
-    n -> 2; e2(2) is reported as -inf.
+    n -> 2; e2(2) is reported as -inf.  e1 and e3 have numerator and
+    denominator divided by n^3, so they stay finite up to the float max.
 
     Raises:
-        DomainError: n < 2.
+        DomainError: n not a finite number, or n < 2.
     """
-    if n < 2:
-        raise DomainError(f"error terms need n >= 2, got {n}")
+    n = checked("n", n, 2, real=True)
     lg = math.log(n)
     lg2 = lg * lg
+    x = 1 / n
 
-    a_over_n = (1200 * n**2 * lg2 + 2379 * n**2 * lg + 1586 * n**2
-                - 6365 * n * lg2 - 3172 * n * lg - 3172 * n
-                + 1993 * lg2 + 793 * lg + 1586)
-    denom = 1200 * (n - 1) ** 3 * lg**3
-    e1 = -(n * a_over_n) / denom
-
-    c_over_n = (1200 * n**2 * lg2 - 2379 * n**2 * lg - 1586 * n**2
-                + 1565 * n * lg2 + 3172 * n * lg + 3172 * n
-                + 407 * lg2 - 793 * lg - 1586)
-    e3 = -(n * c_over_n) / denom
+    denom = 1200 * (1 - x) ** 3 * lg**3
+    e1 = -((1200 * lg2 + 2379 * lg + 1586) - (6365 * lg2 + 3172 * lg + 3172) * x
+           + (1993 * lg2 + 793 * lg + 1586) * x * x) / denom
+    e3 = -((1200 * lg2 - 2379 * lg - 1586) + (1565 * lg2 + 3172 * lg + 3172) * x
+           + (407 * lg2 - 793 * lg - 1586) * x * x) / denom
 
     if n == 2:
         e2 = float("-inf")
@@ -214,10 +209,9 @@ def error_terms(n: float) -> ErrorTerms:
 
 
 def kappa(n: float) -> float:
-    """Correction factor 5000 log n / (6381 + 5000 log n), in (0, 1)."""
-    if n < 2:
-        raise DomainError(f"kappa needs n >= 2, got {n}")
-    return _kappa(math.log(n))
+    """Correction factor 5000 log n / (6381 + 5000 log n), in (0, 1), for a
+    finite real n >= 2."""
+    return _kappa(math.log(checked("n", n, 2, real=True)))
 
 
 def _kappa(lg):
@@ -294,11 +288,7 @@ def s1(table: PrimeTable, n: int, *, exact: bool = False) -> float | Fraction:
         DomainError / OutOfRangeError: bad n.
         ResourceLimitError: exact requested beyond the cap.
     """
-    n = _integer("n", n)
-    if n < 2:
-        raise DomainError(f"s1 needs n >= 2, got {n}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    n = checked("n", n, 2, table=table)
     ps = table.primes_up_to(n)
     if exact:
         if n > S1_EXACT_CAP:
@@ -308,12 +298,9 @@ def s1(table: PrimeTable, n: int, *, exact: bool = False) -> float | Fraction:
 
 
 def s2(table: PrimeTable, n: int) -> float:
-    """S2(n) = sum over primes p <= n of log n / log p."""
-    n = _integer("n", n)
-    if n < 2:
-        raise DomainError(f"s2 needs n >= 2, got {n}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    """S2(n) = sum over primes p <= n of log n / log p, for an integer
+    2 <= n <= table.limit."""
+    n = checked("n", n, 2, table=table)
     ps = table.primes_up_to(n).astype(np.float64)
     return math.log(n) * math.fsum(1.0 / np.log(ps))
 
@@ -463,8 +450,7 @@ def rhs_value(theorem_id: str, n: float,
             range); log log 1 = -inf at n = 2 is a value, not an error.
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
-    if not 2 <= n <= sys.float_info.max:
-        raise DomainError(f"bounds are evaluated at finite n >= 2, got {n}")
+    n = checked("n", n, 2, real=True)
     c = constants or default_constants()
     # trapped here only, so sweeps pay nothing for it
     with np.errstate(over="raise", invalid="raise"):
@@ -521,17 +507,12 @@ class Window(NamedTuple):
 
 def _check_range(table: PrimeTable, n_from, n_to, bound: Bound | None = None, *,
                  real: bool = False) -> None:
+    # an integral float is an integer n here: sweep ranges accept 1e6
+    least = bound.start if bound is not None and bound.lhs == "perfecter" else 2
+    checked("n", n_to, checked("n", n_from, least, real=True), table=table, real=True)
     for n in (n_from, n_to):
-        if not (-math.inf < n < math.inf and (real or n == int(n))):
-            raise DomainError(f"n must be a finite {'number' if real else 'integer'}, got {n}")
-    if n_from > n_to:
-        raise DomainError(f"empty range [{n_from}, {n_to}]")
-    if n_from < 2:
-        raise DomainError(f"bounds are evaluated for n >= 2, got {n_from}")
-    if bound is not None and bound.lhs == "perfecter" and n_from < bound.start:
-        raise DomainError(f"perfecter bounds need n >= {bound.start}, got {n_from}")
-    if n_to > table.limit:
-        raise OutOfRangeError(f"n={n_to} exceeds table limit {table.limit}")
+        if not (real or n == int(n)):
+            raise DomainError(f"n must be an integer, got {n}")
 
 
 def _mean_holds(upper: bool, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
@@ -595,8 +576,9 @@ def _points(table: PrimeTable, kinds: tuple[str, ...], ns: np.ndarray) -> Column
 def log_spaced(n_from: int, n_to: int, k: int) -> np.ndarray:
     """k geometrically spaced integers spanning [n_from, n_to], deduplicated;
     k above the number of integers there is refused before any allocation."""
-    if n_from < 1 or n_from > n_to or not 1 <= k <= n_to - n_from + 1:
-        raise DomainError(f"bad sampling request [{n_from}, {n_to}] x {k}")
+    n_from = checked("n_from", n_from, 1)
+    n_to = checked("n_to", n_to, n_from)
+    k = checked("sample count", k, 1, most=n_to - n_from + 1)
     pts = np.clip(np.geomspace(n_from, n_to, k).round().astype(np.int64), n_from, n_to)
     # nondecreasing already, so a neighbour mask dedups as np.unique would,
     # without its lazy import of numpy.ma
@@ -635,8 +617,7 @@ def columns(table: PrimeTable, kinds: tuple[str, ...], n_from: int, n_to: int, *
     theta(n) from slice to slice.  The arguments are checked here."""
     _check_range(table, n_from, n_to)
     n_from, n_to = int(n_from), int(n_to)
-    if step < 1 or (step > 1 and log_samples is not None):
-        raise DomainError(f"bad step {step} (with log_samples={log_samples})")
+    step = checked("step", step, 1, most=None if log_samples is None else 1)
     size = slice_points(n_to)
     window = walk_points(kinds, n_from, n_to, step=step, log_samples=log_samples)
     if window:

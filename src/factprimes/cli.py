@@ -119,9 +119,7 @@ def _build_table(needed: int, max_sieve: int | None) -> primes.PrimeTable:
 # ---------------------------------------------------------------- decompose
 
 def cmd_decompose(args) -> int:
-    if args.n < 2:
-        print("decompose needs n >= 2", file=sys.stderr)
-        return EXIT_USAGE
+    # upsilon refuses n < 2 before any output
     table = _build_table(args.n, args.max_sieve)
     res = upsilon_stats(table, args.n)
     # the factor rows go out block by block: no array over all primes <= n
@@ -211,6 +209,9 @@ def cmd_verify(args) -> int:
     note = f" ({skipped} below the validity window n >= {bound.start})" if skipped else ""
     print(f"{tid} [{n_from}..{n_to}] {summary.sampling}: "
           f"checked {summary.n_checked}{note}")
+    if not summary.n_applicable:
+        print("no verdict: no point in the validity window")
+        return EXIT_OK
     if summary.all_hold:
         print(f"all hold; min slack {fmt(summary.min_slack)} at n={summary.argmin_n}")
         return EXIT_OK
@@ -270,9 +271,7 @@ def _decimal(x: int) -> str:
 
 
 def cmd_perfecter(args) -> int:
-    if args.n < 1:
-        print("perfecter needs n >= 1", file=sys.stderr)
-        return EXIT_USAGE
+    # perfecter_factorial refuses n < 1 before any output
     table = _build_table(max(args.n, 2), args.max_sieve)
     res = perfecter.perfecter_factorial(table, args.n,
                                         exact_max_bits=args.exact_max_bits)

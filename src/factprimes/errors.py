@@ -1,4 +1,9 @@
-"""Exception hierarchy shared by all factprimes modules."""
+"""Exception hierarchy shared by all factprimes modules, and the argument
+check every entry point applies."""
+
+import numbers
+import operator
+import sys
 
 
 class FactprimesError(Exception):
@@ -28,3 +33,33 @@ class QuadratureError(FactprimesError, ArithmeticError):
         super().__init__(message)
         self.best_value = best_value
         self.err_estimate = err_estimate
+
+
+def checked(what: str, x, least=None, *, above=None, most=None, table=None,
+            real: bool = False):
+    """x, once it passes the argument rule of every entry point; what
+    names x in the error.
+
+    x must be an integer (a float is refused, even an integral one) and is
+    returned as an int, or, with real, any finite number, returned as it
+    is.  Then it must be >= least, > above and <= most, each when given,
+    else DomainError, and <= table.limit when a primes.PrimeTable is
+    given, else OutOfRangeError.
+    """
+    if real:
+        if not (isinstance(x, numbers.Real) and abs(x) <= sys.float_info.max):
+            raise DomainError(f"{what} must be a finite number, got {x!r}")
+    else:
+        try:
+            x = operator.index(x)
+        except TypeError:
+            raise DomainError(f"{what} must be an integer, got {x!r}") from None
+    if least is not None and x < least:
+        raise DomainError(f"{what} must be >= {least}, got {x}")
+    if above is not None and x <= above:
+        raise DomainError(f"{what} must be > {above}, got {x}")
+    if most is not None and x > most:
+        raise DomainError(f"{what} must be <= {most}, got {x}")
+    if table is not None and x > table.limit:
+        raise OutOfRangeError(f"{what}={x} exceeds table limit {table.limit}")
+    return x

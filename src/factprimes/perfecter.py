@@ -19,8 +19,8 @@ from typing import Sequence
 import numpy as np
 
 from .bounds import evaluate_theorem
-from .errors import DomainError, OutOfRangeError
-from .primes import PrimeTable, _integer, limb_value, log_totals
+from .errors import DomainError, checked
+from .primes import PrimeTable, limb_value, log_totals
 from .report import BoundReport
 from .upsilon import odd_exponent_blocks
 from .valuation import _odd_exponent_primes, is_prime, valuation_vector
@@ -82,7 +82,8 @@ def squarefree_kernel(factored: Sequence[tuple[int, int]]) -> list[int]:
     a perfect square.
 
     Raises:
-        DomainError: duplicate primes, non-prime bases, or exponents < 1.
+        DomainError: duplicate primes, non-prime bases, or exponents that
+            are not integers >= 1.
     """
     seen = set()
     odd = []
@@ -90,11 +91,9 @@ def squarefree_kernel(factored: Sequence[tuple[int, int]]) -> list[int]:
         if p in seen:
             raise DomainError(f"duplicate prime {p} in factorization")
         seen.add(p)
-        if p < 2 or not is_prime(p):
+        if not is_prime(checked("base", p)):
             raise DomainError(f"base {p} is not prime")
-        if e < 1:
-            raise DomainError(f"exponent of {p} must be >= 1, got {e}")
-        if e % 2 == 1:
+        if checked(f"exponent of {p}", e, 1) % 2 == 1:
             odd.append(p)
     return sorted(odd)
 
@@ -118,16 +117,12 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
     that the product is dropped, since the log-sum only grows.
 
     Raises:
-        DomainError: n not an integer, n < 1 or exact_max_bits < 0.
+        DomainError: n or exact_max_bits not an integer, n < 1 or
+            exact_max_bits < 0.
         OutOfRangeError: n beyond the table limit.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise DomainError(f"perfecter needs n >= 1, got {n}")
-    if exact_max_bits < 0:
-        raise DomainError(f"exact_max_bits must be >= 0, got {exact_max_bits}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
+    n = checked("n", n, 1, table=table)
+    exact_max_bits = checked("exact_max_bits", exact_max_bits, 0)
     count = high = low = 0
     exact: int | None = 1
     for ps in odd_exponent_blocks(table, n):
@@ -152,16 +147,12 @@ def theta_classed(table: PrimeTable, n: int, q: int) -> ThetaClassed:
     p <= n with v_p(n!) congruent to a mod q.  Empty classes sum to 0.
 
     Raises:
-        DomainError: n not an integer, n < 2 or q not prime.
+        DomainError: n or q not an integer, n < 2 or q not prime.
         OutOfRangeError: n beyond the table limit.
     """
-    n = _integer("n", n)
-    if n < 2:
-        raise DomainError(f"theta_classed needs n >= 2, got {n}")
-    if q < 2 or not is_prime(q):
+    n = checked("n", n, 2, table=table)
+    if not is_prime(checked("modulus", q)):
         raise DomainError(f"modulus must be prime, got {q}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
     v = valuation_vector(table, n)
     ps = table.primes_up_to(n)
     residues = v % q
@@ -188,12 +179,7 @@ def bertrand_equivalence(table: PrimeTable, n: int) -> BertrandCheck:
         DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
-    n = _integer("n", n)
-    if n < 2:
-        raise DomainError(f"needs n >= 2, got {n}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    v = valuation_vector(table, n)
+    v = valuation_vector(table, n)  # checks n
     ps = table.primes_up_to(n)
     odd = _odd_exponent_primes(table, n, v)
     log_perfecter = _log_sum(odd)

@@ -15,7 +15,7 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-from .errors import DomainError, QuadratureError
+from .errors import DomainError, QuadratureError, checked
 
 EULER_GAMMA = 0.5772156649015328606
 _INV_E = math.exp(-1.0)
@@ -27,14 +27,15 @@ _HALLEY_MAX_ITER = 100
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Tolerance and depth budget for adaptive Simpson integration."""
+    """Tolerance and depth budget for adaptive Simpson integration: a finite
+    abs_tol > 0 and an integer max_depth >= 0."""
 
     abs_tol: float = 1e-10
     max_depth: int = 50
 
     def __post_init__(self):
-        if self.abs_tol <= 0:
-            raise DomainError("abs_tol must be positive")
+        checked("abs_tol", self.abs_tol, above=0, real=True)
+        checked("max_depth", self.max_depth, 0)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()
@@ -49,12 +50,12 @@ def integrate(f: Callable[[float], float], a: float, b: float,
     on success.
 
     Raises:
-        DomainError: a >= b or non-finite endpoint values.
+        DomainError: a or b not finite, a >= b, or non-finite integrand
+            values at the ends or the midpoint.
         QuadratureError: max_depth exhausted before the local tolerance was
             met (the best value and its estimate ride along on the error).
     """
-    if not a < b:
-        raise DomainError(f"need a < b, got [{a}, {b}]")
+    b = checked("b", b, above=checked("a", a, real=True), real=True)
     fa, fb = f(a), f(b)
     mid = 0.5 * (a + b)
     fm = f(mid)
@@ -90,12 +91,10 @@ def exp_integral(a: int, z: float) -> float:
     """Generalized exponential integral E_a(z) for integer a >= 1, z > 0.
 
     Raises:
-        DomainError: a < 1 or z <= 0.
+        DomainError: a not an integer or a < 1, or z not finite or z <= 0.
     """
-    if a < 1:
-        raise DomainError(f"order must be an integer >= 1, got {a}")
-    if not z > 0:
-        raise DomainError(f"argument must be positive, got {z}")
+    a = checked("order", a, 1)
+    z = checked("argument", z, above=0, real=True)
 
     am1 = a - 1
     if z > _SERIES_CF_SWITCH:
@@ -145,11 +144,7 @@ def lambert_w(x: float) -> float:
         QuadratureError: Halley iteration did not converge (the last
             iterate and its residual ride along on the error).
     """
-    if not math.isfinite(x):
-        raise DomainError(f"lambert_w needs a finite x, got {x}")
-    if x < -_INV_E:
-        raise DomainError(f"lambert_w needs x >= -1/e, got {x}")
-    if x == -_INV_E:
+    if checked("x", x, -_INV_E, real=True) == -_INV_E:
         return -1.0
     if x == 0.0:
         return 0.0
@@ -181,12 +176,11 @@ def log_integral_expansion(n: float, terms: int) -> tuple[float, float]:
     remainder is terms! times the integral of log^-(terms+1).
 
     Raises:
-        DomainError: n <= 2 or terms outside [1, 20].
+        DomainError: n not finite or n <= 2, or terms not an integer in
+            [1, 20].
     """
-    if not n > 2:
-        raise DomainError(f"expansion needs n > 2, got {n}")
-    if not 1 <= terms <= 20:
-        raise DomainError(f"terms must be in [1, 20], got {terms}")
+    n = checked("n", n, above=2, real=True)
+    terms = checked("terms", terms, 1, most=20)
     ln_n = math.log(n)
     ln_2 = math.log(2.0)
     fact = 1.0
@@ -208,10 +202,8 @@ def log_integral(n: float, spec: QuadratureSpec = DEFAULT_QUADRATURE) -> tuple[f
     domain check keep every evaluation away from that singularity.
 
     Raises:
-        DomainError: n < 2.
+        DomainError: n not finite or n < 2.
     """
-    if n < 2:
-        raise DomainError(f"log_integral starts at 2, got upper limit {n}")
-    if n == 2:
+    if checked("upper limit", n, 2, real=True) == 2:
         return 0.0, 0.0
     return integrate(lambda x: 1.0 / math.log(x), 2.0, float(n), spec)

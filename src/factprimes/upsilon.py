@@ -38,9 +38,9 @@ from typing import Iterator, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, FactprimesError, OutOfRangeError
-from .primes import (PrimeTable, _integer, limb_prefix, limb_value, log_limbs,
-                     log_totals, nth_prime, pi, prime_blocks)
+from .errors import DomainError, FactprimesError, OutOfRangeError, checked
+from .primes import (PrimeTable, limb_prefix, limb_value, log_limbs, log_totals,
+                     nth_prime, pi, prime_blocks)
 from .special_functions import lambert_w
 from .valuation import _legendre_exponents, valuation_vector
 
@@ -95,23 +95,17 @@ def upsilon_value(table: PrimeTable, n: int) -> int:
         DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
-    n = _integer("n", n)
-    if n < 2:
-        raise DomainError(f"upsilon needs n >= 2, got {n}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    return _anchor(table, n)[0]
+    return _anchor(table, checked("n", n, 2, table=table))[0]
 
 
 def upsilon(table: PrimeTable, n: int) -> UpsilonResult:
     """Exponent sum, prime count, exact mean, and asymptotic main terms.
 
     Raises:
-        DomainError: n < 2.
+        DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
-    if n < 2:
-        raise DomainError(f"upsilon needs n >= 2, got {n}")
+    n = checked("n", n, 2, table=table)
     ups = upsilon_value(table, n)
     pi_n = pi(table, n)
     mean_exact = Fraction(ups, pi_n)
@@ -128,9 +122,9 @@ def upsilon(table: PrimeTable, n: int) -> UpsilonResult:
 
 
 def upsilon_asymptotic_gap(table: PrimeTable, n: int) -> float:
-    """Per-n residual (upsilon(n) - n log log n) / n of the leading term."""
-    if n < 3:
-        raise DomainError(f"residual needs n >= 3, got {n}")
+    """Per-n residual (upsilon(n) - n log log n) / n of the leading term,
+    for an integer n >= 3."""
+    n = checked("n", n, 3, table=table)
     ups = upsilon_value(table, n)
     return (ups - n * math.log(math.log(n))) / n
 
@@ -205,13 +199,8 @@ def omega_window(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
         DomainError: lo or hi not an integer, lo < 2 or lo > hi.
         OutOfRangeError: the table cannot certify primes up to sqrt(hi).
     """
-    lo, hi = _integer("lo", lo), _integer("hi", hi)
-    if lo < 2 or lo > hi:
-        raise DomainError(f"bad window [{lo}, {hi}]")
-    root = math.isqrt(hi)
-    if root > table.limit:
-        raise OutOfRangeError(
-            f"window up to {hi} needs primes to {root}, table stops at {table.limit}")
+    lo, hi = checked("lo", lo, 2), checked("hi", hi, lo)
+    root = checked("isqrt(hi)", math.isqrt(hi), table=table)
     return _factor_pass(table, lo, hi, root)[0].astype(np.int64)
 
 
@@ -244,14 +233,15 @@ def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
     where Omega(n) == 1.  The arguments are checked when this is called.
 
     Raises:
-        DomainError: n_from < 2 or an empty range.
+        DomainError: an argument not an integer, n_from < 2, an empty
+            range, or window or piece < 1.
         OutOfRangeError: n_to beyond the table limit.
     """
-    if n_from < 2 or n_from > n_to:
-        raise DomainError(f"bad range [{n_from}, {n_to}]")
-    if n_to > table.limit:
-        raise OutOfRangeError(f"n_to={n_to} exceeds table limit {table.limit}")
-    return _walk(table, n_from, n_to, window, piece or window, perfecter, count)
+    n_from = checked("n_from", n_from, 2)
+    n_to = checked("n_to", n_to, n_from, table=table)
+    window = checked("window", window, 1)
+    piece = window if piece is None else checked("piece", piece, 1)
+    return _walk(table, n_from, n_to, window, piece, perfecter, count)
 
 
 # Above isqrt(n), the primes with n // p = q are the value run
@@ -324,6 +314,7 @@ def odd_exponent_primes(table: PrimeTable, n: int) -> np.ndarray:
     for 1 <= n <= table.limit: the blocks of odd_exponent_blocks, filled
     into an array of its exact size, which pi counts for the runs above
     r = isqrt(n)."""
+    n = checked("n", n, 1, table=table)
     blocks = odd_exponent_blocks(table, n)
     first = next(blocks)  # the primes up to r
     r = math.isqrt(n)
@@ -393,13 +384,15 @@ def upsilon_range(table: PrimeTable, n_from: int, n_to: int
                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(n, upsilon(n), pi(n)) arrays for every n in [n_from, n_to].
 
-    One factorial_windows window over the whole range; all exact int64.
+    One factorial_windows window over the whole range (a window of n_to
+    points spans it); all exact int64.
 
     Raises:
-        DomainError: n_from < 2 or empty range.
+        DomainError: n_from or n_to not an integer, n_from < 2 or an empty
+            range.
         OutOfRangeError: n_to beyond the table limit.
     """
-    (cols,) = factorial_windows(table, n_from, n_to, n_to - n_from + 1, count=True)
+    (cols,) = factorial_windows(table, n_from, n_to, n_to, count=True)
     return cols.n, cols.upsilon, cols.pi.astype(np.int64)
 
 
@@ -416,9 +409,7 @@ def mean_location(table: PrimeTable, n: int) -> MeanLocation:
         OutOfRangeError: n beyond the table limit.
         FactprimesError: the exponents are not nonincreasing in p.
     """
-    n = _integer("n", n)
-    if n < 3:
-        raise DomainError(f"mean_location needs n >= 3, got {n}")
+    n = checked("n", n, 3, table=table)
     v = valuation_vector(table, n)
     if np.any(np.diff(v) > 0):
         raise FactprimesError(f"exponent sequence of {n}! is not nonincreasing")
@@ -451,10 +442,9 @@ def lambert_w_index(n: int) -> float:
     L = log n * log log n.
 
     Raises:
-        DomainError: n < 16.
+        DomainError: n not an integer, or n < 16.
     """
-    if n < ASYMPTOTIC_MIN_N:
-        raise DomainError(f"index asymptotics need n >= 16, got {n}")
+    n = checked("n", n, ASYMPTOTIC_MIN_N)
     big_l = math.log(n) * math.log(math.log(n))
     return n / (big_l * lambert_w(n / big_l))
 
@@ -465,9 +455,9 @@ def mean_vs_Lth_prime(table: PrimeTable, n: int) -> float:
     Convergence of this ratio is slow; it is reported, never asserted.
 
     Raises:
-        DomainError: floor(log n) < 1, i.e. n < 3.
+        DomainError: n not an integer, or floor(log n) < 1, i.e. n < 3.
+        OutOfRangeError: n beyond the table limit.
     """
-    if n < 3:
-        raise DomainError(f"needs floor(log n) >= 1, got n={n}")
+    n = checked("n", n, 3, table=table)
     res = upsilon(table, n)
     return res.mean / nth_prime(table, int(math.log(n)))

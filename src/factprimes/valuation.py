@@ -14,15 +14,16 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import DomainError, OutOfRangeError, ResourceLimitError
-from .primes import PrimeTable, _integer, pi, prime_blocks
+from .errors import DomainError, ResourceLimitError, checked
+from .primes import PrimeTable, pi, prime_blocks
 
 # The brute-force oracle does O(n) factor extractions; keep it honest.
 ORACLE_CAP = 100_000
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check."""
+    """Deterministic trial-division primality check of an integer n."""
+    n = checked("prime candidate", n)
     if n < 2:
         return False
     if n < 4:
@@ -39,11 +40,7 @@ def is_prime(n: int) -> bool:
 
 def digit_sum(n: int, base: int) -> int:
     """Sum of the digits of n written in the given base (base >= 2)."""
-    n = _integer("n", n)
-    if base < 2:
-        raise DomainError(f"base must be >= 2, got {base}")
-    if n < 0:
-        raise DomainError(f"digit_sum needs n >= 0, got {n}")
+    n, base = checked("n", n, 0), checked("base", base, 2)
     s = 0
     while n:
         s += n % base
@@ -57,9 +54,7 @@ def omega(n: int) -> int:
     Trial division; independent of any sieve table, so it can serve as an
     oracle against table-backed computations.
     """
-    n = _integer("n", n)
-    if n < 1:
-        raise DomainError(f"omega needs n >= 1, got {n}")
+    n = checked("n", n, 1)
     count = 0
     d = 2
     while d * d <= n:
@@ -94,10 +89,8 @@ def legendre_valuation(n: int, p: int) -> Valuation:
     Raises:
         DomainError: n not an integer, n < 0, or p is not prime.
     """
-    n = _integer("n", n)
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if p < 2 or not is_prime(p):
+    n = checked("n", n, 0)
+    if not is_prime(checked("p", p)):
         raise DomainError(f"p must be prime, got {p}")
     v = 0
     m = 0
@@ -118,9 +111,8 @@ def factorial_valuation_oracle(n: int, p: int) -> int:
         DomainError: bad n or p.
         ResourceLimitError: n above the oracle cap.
     """
-    if n < 0:
-        raise DomainError(f"n must be >= 0, got {n}")
-    if p < 2 or not is_prime(p):
+    n = checked("n", n, 0)
+    if not is_prime(checked("p", p)):
         raise DomainError(f"p must be prime, got {p}")
     if n > ORACLE_CAP:
         raise ResourceLimitError(
@@ -143,17 +135,8 @@ def valuation_vector(table: PrimeTable, n: int) -> np.ndarray:
         DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
-    n = _checked(table, n)
+    n = checked("n", n, 2, table=table)
     return _legendre_exponents(table.primes_up_to(n), n)
-
-
-def _checked(table: PrimeTable, n: int) -> int:
-    n = _integer("n", n)
-    if n < 2:
-        raise DomainError(f"need n >= 2, got {n}")
-    if n > table.limit:
-        raise OutOfRangeError(f"n={n} exceeds table limit {table.limit}")
-    return n
 
 
 def decomposition_blocks(table: PrimeTable, n: int
@@ -167,7 +150,7 @@ def decomposition_blocks(table: PrimeTable, n: int
         DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
-    n = _checked(table, n)
+    n = checked("n", n, 2, table=table)
     # the exponents are elementwise in p, so any ascending block will do
     return ((ps, _legendre_exponents(ps, n)) for ps in prime_blocks(table, 0, n))
 

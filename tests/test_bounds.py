@@ -48,6 +48,36 @@ class TestConstants:
             (3292800 * lg**3)
         assert constants.e3_min == pytest.approx(printed_form, abs=1e-12)
 
+    def test_exact_eval_is_the_40_digit_value_rounded(self):
+        # recomputed with mpmath, not with the package: quad for c2 and c6,
+        # E_1 for c3 and c7, closed forms for the rest; eps is adopted
+        with mpmath.workdps(40):
+            one = mpmath.mpf(1)
+            l2 = mpmath.log(2)
+            c1 = (-5937 * l2**2 + 3965 * l2 + 1586) / (600 * l2**3)
+            c5 = (8337 * l2**2 - 3965 * l2 - 1586) / (600 * l2**3)
+            c2 = mpmath.quad(lambda x: (1200 * x**3 + 365 * x**2 + 9944 * x - 1993)
+                             / (1200 * (x - 1)**4 * mpmath.log(x)), [2, mpmath.e + 1])
+            c6 = mpmath.quad(lambda x: (1200 * x**3 - 7565 * x**2 - 2744 * x - 407)
+                             / (1200 * (x - 1)**4 * mpmath.log(x)), [2, mpmath.e])
+            ei1, ei2, ei3 = (mpmath.expint(1, z) for z in (1, 2, 3))
+            c3 = 793 * one / 240 * ei1 + 2379 * one / 200 * ei2 + 793 * one / 100 * ei3 + c2
+            c7 = c6 - (1513 * one / 240 * ei1 + 343 * one / 150 * ei2 + 407 * one / 1200 * ei3)
+            l29 = mpmath.log(29)
+            e3_min = -29 * (1200 * 29**2 * l29**2 - 2379 * 29**2 * l29 - 1586 * 29**2
+                            + 1565 * 29 * l29**2 + 3172 * 29 * l29 + 3172 * 29
+                            + 407 * l29**2 - 793 * l29 - 1586) / (1200 * 28**3 * l29**3)
+            tail = 793 * 2 * one / (1200 * l2**3) + 793 * 2 * one / (400 * l2**4)
+            c9 = 1607 * 2 * one / (2400 * l2) + 1607 * 2 * one / (2400 * l2**2) - tail
+            c10 = 3193 * 2 * one / (2400 * l2) + 3193 * 2 * one / (2400 * l2**2) + tail
+            values = {"c1": c1, "c2": c2, "c3": c3, "c4": c1 + c3, "c5": c5, "c6": c6,
+                      "c7": c7, "c8": c5 + c7 + e3_min, "c9": c9, "c10": c10,
+                      "e3_min": e3_min}
+        assert set(values) == set(EXACT_EVAL) - {"eps"}
+        for name, value in values.items():
+            with mpmath.workprec(53):  # round to nearest binary64
+                assert EXACT_EVAL[name] == float(+value), name
+
     def test_quadrature_error_budget(self, constants):
         assert constants.entries["c2"].abs_err_estimate <= 1e-9
         assert constants.entries["c6"].abs_err_estimate <= 1e-9
@@ -123,6 +153,24 @@ class TestErrorTerms:
     def test_e3_minimum_bracketing(self):
         e28, e29, e30 = (error_terms(n).e3 for n in (28, 29, 30))
         assert e29 < e28 and e29 < e30
+
+    @pytest.mark.parametrize("n", [1e20, 1e100, 5e102, 6e102, 1e200, 1e300,
+                                   sys.float_info.max])
+    def test_e1_e3_at_large_n(self, n):
+        with mpmath.workdps(30):
+            x = mpmath.mpf(n)
+            lg = mpmath.log(x)
+            a_over_n = (1200 * x**2 * lg**2 + 2379 * x**2 * lg + 1586 * x**2
+                        - 6365 * x * lg**2 - 3172 * x * lg - 3172 * x
+                        + 1993 * lg**2 + 793 * lg + 1586)
+            c_over_n = (1200 * x**2 * lg**2 - 2379 * x**2 * lg - 1586 * x**2
+                        + 1565 * x * lg**2 + 3172 * x * lg + 3172 * x
+                        + 407 * lg**2 - 793 * lg - 1586)
+            denom = 1200 * (x - 1)**3 * lg**3
+            e1, e3 = float(-x * a_over_n / denom), float(-x * c_over_n / denom)
+        terms = error_terms(n)
+        assert terms.e1 == pytest.approx(e1, rel=1e-12)
+        assert terms.e3 == pytest.approx(e3, rel=1e-12)
 
     def test_domain(self):
         with pytest.raises(DomainError):

@@ -184,6 +184,14 @@ class TestVerify:
         assert code == 2
         assert "unknown theorem" in err
 
+    @pytest.mark.parametrize("theorem,n_from,n_to", [("PI_LB", 2, 598), ("C3", 3, 1000)])
+    def test_range_below_the_window_has_no_verdict(self, capsys, theorem, n_from, n_to):
+        code, out, _ = run(capsys, "verify", theorem, "--from", str(n_from), "--to", str(n_to))
+        assert code == 0
+        lines = out.splitlines()
+        assert lines[1:] == ["no verdict: no point in the validity window"]
+        assert "min slack" not in out
+
     def test_empty_range(self, capsys):
         code, _, _ = run(capsys, "verify", "T1", "--from", "10", "--to", "5")
         assert code == 2

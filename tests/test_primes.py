@@ -75,6 +75,10 @@ class TestExactLogSums:
         for i in (block - 1, block, 2 * block, 5 * block + 7, len(logs) - 1):
             assert table_big.log_prefix[i] == math.fsum(logs[:i + 1]), i
 
+    def test_kahan_sum_is_correctly_rounded(self):
+        # a compensated loop loses the 1.0 here; math.fsum keeps it
+        assert primes.kahan_sum(np.array([1e16, 1.0, -1e16])) == 1.0
+
     def test_limbs_are_exact(self, table_small):
         logs = np.log(table_small.primes.astype(np.float64))
         high, low = log_limbs(logs)
