@@ -40,7 +40,6 @@ n = 2 endpoint of T1's claimed window comes out as a violation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from typing import Callable, Iterable, Iterator, NamedTuple
@@ -49,7 +48,7 @@ import numpy as np
 
 from .errors import DomainError, ResourceLimitError, checked
 from .primes import PrimeTable, theta, theta_from
-from .report import MARGINAL_SLACK, BoundReport
+from .report import MARGINAL_SLACK, BoundReport, Record
 from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
                                 exp_integral, integrate)
 from .upsilon import Columns, factorial_points, factorial_windows
@@ -109,8 +108,7 @@ _DEV_COEFF = 793 / 200
 PI_LOWER_MIN_N = 599
 
 
-@dataclass(frozen=True)
-class ConstantEntry:
+class ConstantEntry(NamedTuple):
     """One recomputed constant with its provenance and comparison targets."""
 
     name: str
@@ -131,11 +129,14 @@ class ConstantEntry:
         return abs(self.value - self.tabulated)
 
 
-@dataclass(frozen=True)
-class ConstantsTable:
-    """All recomputed constants, addressable by name or attribute."""
+class ConstantsTable(Record):
+    """All recomputed constants, addressable by name or attribute; iterating
+    yields the entries."""
 
-    entries: dict[str, ConstantEntry]
+    __slots__ = _fields = ("entries",)
+
+    def __init__(self, entries: dict[str, ConstantEntry]) -> None:
+        super().__init__(entries=entries)
 
     def __getattr__(self, name: str) -> float:
         entries = object.__getattribute__(self, "entries")
@@ -147,8 +148,7 @@ class ConstantsTable:
         return iter(self.entries.values())
 
 
-@dataclass(frozen=True)
-class ErrorTerms:
+class ErrorTerms(NamedTuple):
     """The six auxiliary error terms at one n."""
 
     e1: float
@@ -378,8 +378,7 @@ def perfecter_exponents(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 # ------------------------------------------------------------------ registry
 
-@dataclass(frozen=True)
-class Bound:
+class Bound(NamedTuple):
     """One checked inequality ``lhs <sense> rhs(n)``, claimed for n >= start.
 
     ``lhs`` names the left-hand side: "upsilon" (exponent sum of n!),
@@ -685,8 +684,7 @@ def evaluate_theorem(table: PrimeTable, theorem_id: str, n: float,
     return _window_reports(bound.id, window)[0]
 
 
-@dataclass(frozen=True)
-class RangeSummary:
+class RangeSummary(NamedTuple):
     """Aggregate outcome of a range verification run."""
 
     theorem_id: str

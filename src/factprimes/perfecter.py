@@ -13,8 +13,7 @@ theta(n) = sum over a of theta(n; q, a) always holds.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -28,8 +27,7 @@ from .valuation import _odd_exponent_primes, is_prime, valuation_vector
 DEFAULT_EXACT_MAX_BITS = 4096
 
 
-@dataclass(frozen=True)
-class PerfecterResult:
+class PerfecterResult(NamedTuple):
     """Minimal square perfecter of n! by its size and in logarithmic form.
 
     count is the number of primes with an odd exponent in n! (the primes
@@ -44,8 +42,7 @@ class PerfecterResult:
     exact_value: int | None
 
 
-@dataclass(frozen=True)
-class ThetaClassed:
+class ThetaClassed(NamedTuple):
     """theta(n; q, a) for a = 0 .. q-1: log-sums of primes classed by their
     exponent in n! modulo q."""
 
@@ -57,8 +54,7 @@ class ThetaClassed:
         return math.fsum(self.values)
 
 
-@dataclass(frozen=True)
-class BertrandCheck:
+class BertrandCheck(NamedTuple):
     """The two equivalent statements at one n, plus the identity pieces.
 
     perfecter_exceeds_one and prime_in_upper_half must agree at every n;

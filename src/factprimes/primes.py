@@ -20,13 +20,12 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import Iterator
 
 import numpy as np
 
 from .errors import OutOfRangeError, ResourceLimitError, checked
-from .report import BoundReport
+from .report import BoundReport, Record
 
 # Hard cap on the sieve limit.  The table takes 3/32 of a byte a number,
 # about 19 MB at the cap; the first use of primes or log_prefix, which no
@@ -120,8 +119,7 @@ _SEGMENT = 1 << 18
 _WORD_BITS = 64
 
 
-@dataclass(frozen=True)
-class PrimeTable:
+class PrimeTable(Record):
     """The primes up to ``limit`` as an odd-only bit set with a rank
     directory.
 
@@ -139,12 +137,16 @@ class PrimeTable:
     bytes), through which ``log_totals_in`` sums the logs
     of a value range while unpacking only its two ends.  Every array is
     read-only.  Two threads that read a cached array first at the same
-    time may both compute it, with the same result.
+    time may both compute it, with the same result.  The table keeps a
+    ``__dict__`` for these cached arrays; its fields are read-only.
     """
 
-    limit: int
-    bits: np.ndarray
-    rank: np.ndarray
+    _fields = ("limit", "bits", "rank")
+
+    def __init__(self, limit: int, bits: np.ndarray, rank: np.ndarray) -> None:
+        bits.setflags(write=False)
+        rank.setflags(write=False)
+        super().__init__(limit=limit, bits=bits, rank=rank)
 
     @functools.cached_property
     def primes(self) -> np.ndarray:
@@ -264,13 +266,23 @@ def prime_blocks(table: PrimeTable, lo: int, hi: int) -> Iterator[np.ndarray]:
         yield table.primes_in(a, min(a + _VALUE_BLOCK, hi))
 
 
+# The wheel of build_table: whether bit j of an odd-only sieve (the odd
+# 2j + 1) is a multiple of a wheel prime depends on j modulo their product
+# only, so every segment starts as a copy of one pattern.
+_WHEEL_PRIMES = (3, 5, 7, 11, 13)
+_WHEEL = math.prod(_WHEEL_PRIMES)  # 15015 bits
+
+
 def build_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
     """Sieve all primes up to ``limit`` (inclusive) and build the table.
 
-    A segmented odds-only sieve of Eratosthenes: each segment of _SEGMENT
-    odd numbers is sieved as bytes by the primes up to isqrt(limit), packed
-    into bits and counted into the rank directory, so the peak is the table
-    itself plus one segment.
+    A segmented odds-only sieve of Eratosthenes (after Bays & Hudson, BIT
+    17, 1977) with a wheel pre-sieve (after Pritchard, CACM 24, 1981): each
+    segment of _SEGMENT odd numbers starts as the _WHEEL-periodic pattern of
+    the numbers prime to 3 .. 13, copied in doubling runs, is sieved as
+    bytes by the primes from 17 up to isqrt(limit), packed into bits and
+    counted into the rank directory, so the peak is the table itself plus
+    one segment.
 
     Raises:
         DomainError: limit not an integer, or limit < 2.
@@ -287,7 +299,12 @@ def build_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable
     for p in range(2, math.isqrt(root) + 1):
         if small[p]:
             small[p * p::p] = False
-    base = np.flatnonzero(small)[1:].tolist()  # the odd primes up to root
+    base = np.flatnonzero(small)[1 + len(_WHEEL_PRIMES):]  # the primes in (13, root]
+    firsts = (base * base - 1) // 2  # the bit of p^2, where crossing off starts
+    halves = (base - 1) // 2  # p's odd multiples are the bits j = halves mod p
+    pattern = np.ones(2 * _WHEEL, dtype=bool)  # two periods: any phase is one slice
+    for p in _WHEEL_PRIMES:
+        pattern[(p - 1) // 2::p] = False
 
     n_bits = (limit + 1) // 2  # bit j stands for 2j + 1 <= limit
     n_words = -(-n_bits // _WORD_BITS)
@@ -297,16 +314,20 @@ def build_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable
     running = 1  # the prime 2
     for a in range(0, n_bits, _SEGMENT):
         size = min(_SEGMENT, n_bits - a)
-        segment[:] = True
+        done = min(_WHEEL, size)
+        segment[:done] = pattern[a % _WHEEL:a % _WHEEL + done]
+        while done < size:  # done stays a multiple of the period until the last copy
+            more = min(done, size - done)
+            segment[done:done + more] = segment[:more]
+            done += more
         segment[size:] = False
         if a == 0:
             segment[0] = False  # 1 is not prime
-        for p in base:
-            # the odd multiples of p from p^2 on have j = (p*p - 1)/2 + k p
-            first = (p * p - 1) // 2
-            if first >= a + size:
-                break
-            segment[max(first, a + ((p - 1) // 2 - a) % p) - a:size:p] = False
+            segment[[(p - 1) // 2 for p in _WHEEL_PRIMES if p <= limit]] = True
+        k = int(np.searchsorted(firsts, a + size))  # the primes with p^2 in reach
+        starts = np.maximum(firsts[:k], a + (halves[:k] - a) % base[:k]) - a
+        for p, s in zip(base[:k].tolist(), starts.tolist()):
+            segment[s:size:p] = False
         words = np.packbits(segment[:-(-size // _WORD_BITS) * _WORD_BITS],
                             bitorder="little").view(np.uint64)
         w = a // _WORD_BITS
@@ -316,8 +337,6 @@ def build_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable
         np.cumsum(counts[:-1], dtype=np.int32, out=rank[w + 1:w + len(words)])
         rank[w + 1:w + len(words)] += running
         running += int(counts.sum(dtype=np.int64))
-    bits.setflags(write=False)
-    rank.setflags(write=False)
     return PrimeTable(limit=limit, bits=bits, rank=rank)
 
 

@@ -12,10 +12,10 @@ inside their advertised 1e-12 contracts.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
 from .errors import DomainError, QuadratureError, checked
+from .report import Record
 
 EULER_GAMMA = 0.5772156649015328606
 _INV_E = math.exp(-1.0)
@@ -25,17 +25,16 @@ _MAX_ITER = 400
 _HALLEY_MAX_ITER = 100
 
 
-@dataclass(frozen=True)
-class QuadratureSpec:
+class QuadratureSpec(Record):
     """Tolerance and depth budget for adaptive Simpson integration: a finite
     abs_tol > 0 and an integer max_depth >= 0."""
 
-    abs_tol: float = 1e-10
-    max_depth: int = 50
+    __slots__ = _fields = ("abs_tol", "max_depth")
 
-    def __post_init__(self):
-        checked("abs_tol", self.abs_tol, above=0, real=True)
-        checked("max_depth", self.max_depth, 0)
+    def __init__(self, abs_tol: float = 1e-10, max_depth: int = 50) -> None:
+        checked("abs_tol", abs_tol, above=0, real=True)
+        checked("max_depth", max_depth, 0)
+        super().__init__(abs_tol=abs_tol, max_depth=max_depth)
 
 
 DEFAULT_QUADRATURE = QuadratureSpec()

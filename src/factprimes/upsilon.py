@@ -32,7 +32,6 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, NamedTuple
 
@@ -49,8 +48,7 @@ from .valuation import _legendre_exponents, valuation_vector
 ASYMPTOTIC_MIN_N = 16
 
 
-@dataclass(frozen=True)
-class UpsilonResult:
+class UpsilonResult(NamedTuple):
     """Exact exponent sum of n! plus its mean and first-order asymptotics.
 
     mean_exact * pi_n == upsilon holds exactly; mean is the float rendering.
@@ -67,8 +65,7 @@ class UpsilonResult:
     mean_asymptotic: float | None
 
 
-@dataclass(frozen=True)
-class MeanLocation:
+class MeanLocation(NamedTuple):
     """Where in the prime sequence the mean exponent of n! is attained.
 
     p_star is the smallest prime minimizing |v_p(n!) - mean|; k_star its

@@ -9,28 +9,53 @@ when n is an exact power of p.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, checked
 from .primes import PrimeTable, pi, prime_blocks
+from .report import Record
 
 # The brute-force oracle does O(n) factor extractions; keep it honest.
 ORACLE_CAP = 100_000
 
 
+# Bases of the strong probable-prime test: the first 13 primes, which no
+# composite below _MR_EXACT_BELOW passes (Sorenson & Webster, Math. Comp.
+# 86, 2017).
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial-division primality check of an integer n."""
+    """Deterministic primality check of an integer n.
+
+    A strong probable-prime (Miller-Rabin) test to the bases 2 .. 41
+    decides every n below 3.3e24; a larger n that passes it is confirmed
+    by trial division, so every answer is a proof.
+    """
     n = checked("prime candidate", n)
     if n < 2:
         return False
-    if n < 4:
+    for p in _MR_BASES:
+        if n % p == 0:
+            return n == p
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    d = (n - 1) >> s
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    if n < _MR_EXACT_BELOW:
         return True
-    if n % 2 == 0:
-        return False
-    f = 3
+    f = _MR_BASES[-1] + 2
     while f * f <= n:
         if n % f == 0:
             return False
@@ -65,8 +90,7 @@ def omega(n: int) -> int:
     return count + (1 if n > 1 else 0)
 
 
-@dataclass(frozen=True)
-class Valuation:
+class Valuation(NamedTuple):
     """Exponent of one prime in n!.
 
     v is the exponent itself; m is the truncation depth, the largest k with
@@ -185,13 +209,13 @@ def _odd_exponent_primes(table: PrimeTable, n: int,
     return table.primes_up_to(n)[(v & 1) == 1]
 
 
-@dataclass(frozen=True)
-class ValuationProfile:
+class ValuationProfile(Record):
     """Full prime decomposition of n!: aligned arrays of primes and exponents."""
 
-    n: int
-    primes: np.ndarray
-    exponents: np.ndarray
+    __slots__ = _fields = ("n", "primes", "exponents")
+
+    def __init__(self, n: int, primes: np.ndarray, exponents: np.ndarray) -> None:
+        super().__init__(n=n, primes=primes, exponents=exponents)
 
     def __len__(self) -> int:
         return len(self.primes)

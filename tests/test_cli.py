@@ -4,7 +4,6 @@ import math
 import os
 import subprocess
 import sys
-from dataclasses import replace
 from decimal import Decimal
 from pathlib import Path
 
@@ -544,7 +543,7 @@ class TestScan:
     def test_t4_cells_follow_the_registry(self, capsys, tmp_path, table_small,
                                           monkeypatch, step):
         t4 = bounds.BOUNDS["T4_lower_upsilon"]
-        monkeypatch.setitem(bounds.BOUNDS, t4.id, replace(t4, start=17, sense="<"))
+        monkeypatch.setitem(bounds.BOUNDS, t4.id, t4._replace(start=17, sense="<"))
         out = tmp_path / "scan.csv"
         code, _, _ = run(capsys, "scan", "--from", "2", "--to", "60",
                          "--step", str(step), "--out", str(out))
@@ -559,10 +558,15 @@ class TestScan:
                 rhs = rhs_value("T4", n)
                 assert r[6:8] == [fmt(rhs), fmt(ups < rhs)], n
 
-    def test_bad_range(self, capsys):
-        code, _, _ = run(capsys, "scan", "--from", "1", "--to", "10",
-                         "--out", "ignored.csv")
-        assert code == 2
+    def test_bad_range(self, capsys, tmp_path):
+        out = tmp_path / "refused.csv"
+        for argv, message in [
+                (("--from", "1", "--to", "10"), "n must be >= 2, got 1"),
+                (("--from", "10", "--to", "9"), "n must be >= 10, got 9"),
+                (("--from", "2", "--to", "10", "--step", "0"), "step must be >= 1, got 0")]:
+            code, _, err = run(capsys, "scan", *argv, "--out", str(out))
+            assert (code, err) == (2, f"bad request: {message}\n"), argv
+            assert not out.exists(), argv
 
 
 class TestEnvironment:

@@ -9,9 +9,9 @@ The last test keeps a future entry point from skipping the check: every
 numeric parameter of every callable the package exports must appear in
 one of the tables below."""
 
-import dataclasses
 import inspect
 import math
+import pickle
 import signal
 from typing import Any, Callable, NamedTuple
 
@@ -31,7 +31,8 @@ from factprimes import (DomainError, OutOfRangeError, QuadratureSpec,
                         s2, squarefree_kernel, theta, theta_classed, upsilon,
                         upsilon_asymptotic_gap, upsilon_range, upsilon_value,
                         valuation_vector, verify_range)
-from factprimes.bounds import columns, rhs_value
+from factprimes.bounds import columns, default_constants, rhs_value
+from factprimes.report import Record
 from factprimes.upsilon import factorial_windows, omega_window
 from factprimes.valuation import decomposition_blocks
 
@@ -164,7 +165,7 @@ RANGE_ARGS = {
                              10, 1, LIMIT + 1),
 }
 
-# exported dataclasses the package fills in itself, from checked arguments
+# exported records the package fills in itself, from checked arguments
 RECORDS = {"BertrandCheck", "BoundReport", "ConstantEntry", "ErrorTerms",
            "MeanLocation", "PerfecterResult", "PrimeTable", "RangeSummary",
            "ThetaClassed", "UpsilonResult", "Valuation", "ValuationProfile"}
@@ -255,7 +256,7 @@ def _numeric(param: inspect.Parameter) -> bool:
 def test_every_exported_numeric_argument_is_tabled():
     tabled = {(a.func, a.param)
               for table in (INTEGER_ARGS, REAL_ARGS, RANGE_ARGS) for a in table.values()}
-    assert all(dataclasses.is_dataclass(getattr(factprimes, r)) for r in RECORDS)
+    assert all(_is_record(getattr(factprimes, r)) for r in RECORDS)
     missing = []
     for name, obj in vars(factprimes).items():
         if (name.startswith("_") or not callable(obj) or name in RECORDS
@@ -264,3 +265,38 @@ def test_every_exported_numeric_argument_is_tabled():
         missing += [f"{name}.{p.name}" for p in inspect.signature(obj).parameters.values()
                     if _numeric(p) and (name, p.name) not in tabled]
     assert missing == []
+
+
+def _is_record(obj) -> bool:
+    # a NamedTuple or a report.Record: a class of named, read-only fields
+    return isinstance(obj, type) and (issubclass(obj, Record) or (
+        issubclass(obj, tuple) and hasattr(obj, "_fields")))
+
+
+def test_record_fields_are_read_only(table_small):
+    t = table_small
+    records = {
+        "BertrandCheck": bertrand_equivalence(t, 20),
+        "BoundReport": evaluate_theorem(t, "T1", 20),
+        "ConstantEntry": default_constants().entries["c1"],
+        "ConstantsTable": default_constants(),
+        "ErrorTerms": error_terms(20),
+        "MeanLocation": mean_location(t, 100),
+        "PerfecterResult": perfecter_factorial(t, 20),
+        "PrimeTable": t,
+        "QuadratureSpec": QuadratureSpec(),
+        "RangeSummary": verify_range(t, "T1", 3, 20)[1],
+        "ThetaClassed": theta_classed(t, 20, 2),
+        "UpsilonResult": upsilon(t, 20),
+        "Valuation": legendre_valuation(20, 3),
+        "ValuationProfile": full_decomposition(t, 20),
+    }
+    assert RECORDS <= set(records)
+    for name, record in records.items():
+        cls = getattr(factprimes, name)
+        assert type(record) is cls and _is_record(cls) and cls._fields, name
+        for field in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, getattr(record, field))
+        assert repr(pickle.loads(pickle.dumps(record))) == repr(record), name
+    assert not pickle.loads(pickle.dumps(t)).bits.flags.writeable

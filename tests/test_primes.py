@@ -230,7 +230,47 @@ class TestThetaClassAdditivity:
             assert total == pytest.approx(ref, rel=1e-9)
 
 
+def reference_table(limit):
+    """bits and rank of build_table(limit), from a plain sieve of every
+    integer up to limit."""
+    sieve = np.ones(limit + 1, dtype=bool)
+    sieve[:2] = False
+    for p in range(2, math.isqrt(limit) + 1):
+        if sieve[p]:
+            sieve[p * p::p] = False
+    odd = sieve[1::2]  # bit j stands for 2j + 1
+    padded = np.zeros(-(-len(odd) // 64) * 64, dtype=bool)
+    padded[:len(odd)] = odd
+    bits = np.packbits(padded, bitorder="little").view(np.uint64)
+    rank = 1 + np.concatenate(([0], np.cumsum(np.bitwise_count(bits)[:-1], dtype=np.int64)))
+    return bits, rank
+
+
+def assert_reference_table(limit):
+    table = build_table(limit)
+    bits, rank = reference_table(limit)
+    assert table.bits.dtype == np.uint64 and table.rank.dtype == np.int32
+    assert np.array_equal(table.bits, bits), limit
+    assert np.array_equal(table.rank, rank), limit
+
+
 class TestBitTable:
+    def test_small_tables_are_the_reference(self):
+        # the wheel primes 3 .. 13 and 1 are set apart in the first segment
+        for limit in range(2, 301):
+            assert_reference_table(limit)
+
+    def test_wheel_and_segment_edges(self):
+        # the wheel repeats every 15015 bits; segments hold 2^18 bits
+        wheel = [15015 * k + d for k in (1, 2, 3, 7) for d in (-1, 1)]
+        segments = [2 * primes._SEGMENT * k + d for k in (1, 2, 3) for d in (-1, 1)]
+        for limit in wheel + segments:
+            assert_reference_table(limit)
+
+    @pytest.mark.parametrize("limit", [10**6, 12_630_000])
+    def test_large_tables_are_the_reference(self, limit):
+        assert_reference_table(limit)
+
     @pytest.mark.parametrize("limit", [2, 3, 127, 128, 129, 255, 256, 257, 10001])
     def test_count_is_pi_everywhere(self, limit):
         # word edges: bit 63 stands for 127, bit 64 for 129

@@ -1,8 +1,10 @@
 """The pytest configuration shows a failing property test's falsifying
 example, rather than ending the run in an INTERNALERROR while reporting it;
-the single-point commands import no numpy module lazily; no file that
-.gitignore excludes (a build or test artifact) is tracked."""
+the single-point commands import no numpy module lazily; the program entry,
+and only it, freezes the collector; no file that .gitignore excludes (a
+build or test artifact) is tracked."""
 
+import gc
 import os
 import shutil
 import subprocess
@@ -57,3 +59,28 @@ def test_single_point_commands_load_no_numpy_ma(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False"
+
+
+@pytest.mark.parametrize("entry", [
+    "runpy.run_module('factprimes.cli', run_name='__main__')",  # python -m factprimes.cli
+    "from factprimes.cli import main\nsys.exit(main())",  # the factprimes script
+], ids=["python_m", "script"])
+def test_program_entry_freezes_the_collector(tmp_path, entry):
+    # exit then skips a collection over every object numpy and the package
+    # made; checked in a fresh process, at exit
+    probe = ("import atexit, gc, runpy, sys\n"
+             "atexit.register(lambda: print('frozen', gc.get_freeze_count() > 0))\n"
+             "sys.argv = ['factprimes', 'verify', 'T1', '--from', '3', '--to', '1000']\n"
+             + entry + "\n")
+    env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "frozen True"
+
+
+def test_main_with_arguments_leaves_the_collector_alone(capsys):
+    from factprimes import cli
+    before = gc.get_freeze_count(), gc.isenabled()
+    assert cli.main(["verify", "T1", "--from", "3", "--to", "1000"]) == 0
+    assert (gc.get_freeze_count(), gc.isenabled()) == before

@@ -1,7 +1,9 @@
 import math
+from time import perf_counter
 
 import numpy as np
 import pytest
+import sympy
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -160,6 +162,32 @@ class TestHelpers:
         assert [k for k in range(2, 30) if is_prime(k)] == \
             [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
         assert not is_prime(1) and not is_prime(0)
+
+    @given(st.integers(-10, 10**6) | st.integers(2, 3 * 10**24))
+    @settings(max_examples=300, deadline=None)
+    def test_is_prime_matches_sympy(self, n):
+        assert is_prime(n) == sympy.isprime(n)
+
+    @given(st.integers(2, 10**12), st.integers(2, 10**12))
+    @settings(max_examples=100, deadline=None)
+    def test_is_prime_on_primes_and_semiprimes(self, a, b):
+        p, q = sympy.nextprime(a), sympy.nextprime(b)
+        assert is_prime(p) and not is_prime(p * q)
+
+    def test_is_prime_refuses_strong_pseudoprimes(self):
+        # strong pseudoprimes to the bases 2 .. 7, and to the bases 2 .. 23
+        for n in (3215031751, 3825123056546413051):
+            assert not sympy.isprime(n) and not is_prime(n)
+
+    def test_legendre_valuation_of_a_large_prime_is_fast(self):
+        # trial division took 0.66 s to accept p
+        p = sympy.nextprime(10**14)
+        times = []
+        for _ in range(3):
+            t0 = perf_counter()
+            assert legendre_valuation(10, p).v == 0
+            times.append(perf_counter() - t0)
+        assert min(times) < 0.01
 
     def test_omega(self):
         assert omega(1) == 0
