@@ -11,7 +11,7 @@ from .bounds import (ConstantEntry, ConstantsTable, ErrorTerms, RangeSummary,
                      evaluate_theorem, kappa, log_spaced, resolve_theorem_id,
                      s1, s2, verify_range)
 from .errors import (DomainError, FactprimesError, OutOfRangeError,
-                     QuadratureError, ResourceLimitError)
+                     QuadratureError, ResourceLimitError, WorkerError)
 from .perfecter import (BertrandCheck, PerfecterResult, ThetaClassed,
                         bertrand_equivalence, perfecter_bounds,
                         perfecter_factorial, squarefree_kernel, theta_classed)

@@ -40,9 +40,8 @@ n = 2 endpoint of T1's claimed window comes out as a violation.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 from functools import lru_cache
-from typing import Callable, Iterable, Iterator, NamedTuple
+from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -53,9 +52,14 @@ from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
                                 exp_integral, integrate)
 from .upsilon import Columns, factorial_points, factorial_windows
 
+if TYPE_CHECKING:
+    from fractions import Fraction
+
 # Interval half-width used when an exact rational mean is compared against
-# a binary64 right-hand side, to keep negligible-slack points from flipping.
-MEAN_WIDENING = Fraction(1, 10**9)
+# a binary64 right-hand side, to keep negligible-slack points from flipping;
+# a numerator and denominator, so that fractions is imported only where a
+# Fraction is built.
+MEAN_WIDENING = (1, 10**9)
 
 S1_EXACT_CAP = 1000
 
@@ -293,6 +297,7 @@ def s1(table: PrimeTable, n: int, *, exact: bool = False) -> float | Fraction:
     if exact:
         if n > S1_EXACT_CAP:
             raise ResourceLimitError(f"exact s1 capped at n <= {S1_EXACT_CAP}")
+        from fractions import Fraction
         return sum(Fraction(n - 1, int(p) - 1) for p in ps)
     return math.fsum((n - 1.0) / (p - 1.0) for p in ps.astype(np.float64))
 
@@ -520,11 +525,15 @@ def _mean_holds(upper: bool, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
     |slack| < 1e-3 compare the exact rational mean with the rhs widened by
     MEAN_WIDENING, so negligible-slack points cannot flip on rounding."""
     holds = mean < rhs + 1e-9 if upper else mean > rhs - 1e-9
-    for i in np.flatnonzero((np.abs(slack) < 1e-3) & np.isfinite(rhs)).tolist():
+    near = np.flatnonzero((np.abs(slack) < 1e-3) & np.isfinite(rhs)).tolist()
+    if near:
+        from fractions import Fraction
+        widening = Fraction(*MEAN_WIDENING)
+    for i in near:
         mean_exact = Fraction(int(ups[i]), int(pis[i]))
         rhs_exact = Fraction(float(rhs[i]))
-        holds[i] = (mean_exact < rhs_exact + MEAN_WIDENING if upper
-                    else mean_exact > rhs_exact - MEAN_WIDENING)
+        holds[i] = (mean_exact < rhs_exact + widening if upper
+                    else mean_exact > rhs_exact - widening)
     return holds
 
 
@@ -729,6 +738,23 @@ def summarize_reports(theorem_id: str, n_from: int, n_to: int,
         n_checked=n_checked, n_applicable=n_applicable,
         all_hold=not violations, min_slack=min_slack, argmin_n=argmin_n,
         violations=tuple(violations), marginal_count=marginal_count)
+
+
+def merge_summaries(parts: Sequence[RangeSummary]) -> RangeSummary:
+    """The summary of consecutive ranges, in ascending order, from their
+    own: what summarize_reports gives over their union.  Counts add up,
+    violations concatenate, and the first minimum slack wins ties."""
+    best = None
+    for p in parts:
+        if p.n_applicable and (best is None or p.min_slack < best.min_slack):
+            best = p
+    best = best or parts[0]  # no applicable point: inf, at n_from
+    violations = tuple(n for p in parts for n in p.violations)
+    return parts[0]._replace(
+        n_to=parts[-1].n_to, n_checked=sum(p.n_checked for p in parts),
+        n_applicable=sum(p.n_applicable for p in parts), all_hold=not violations,
+        min_slack=best.min_slack, argmin_n=best.argmin_n, violations=violations,
+        marginal_count=sum(p.marginal_count for p in parts))
 
 
 def verify_range(table: PrimeTable, theorem_id: str, n_from: int, n_to: int,

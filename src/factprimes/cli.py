@@ -9,9 +9,20 @@ Python values and are rendered with one %-template per row, ints as %d and
 floats as %.12g, which is fmt byte for byte; scalar lines use fmt.
 verify and scan take their points and verdicts from bounds.columns and
 bounds.evaluate; no bound formula, comparison or start is restated here.
---jobs is accepted for compatibility and has no effect: threads measured
-no gain for verify and a slowdown for scan.  A count below 1 is still
-refused as a bad argument.
+
+--jobs N splits an exhaustive verify range, or a scan range, into at most N
+contiguous chunks.  This process builds the table and the constants, forks
+one worker for each chunk after the first (os.fork: a worker inherits the
+imported package and the table copy-on-write, where starting an interpreter
+would cost about 190 ms), and sweeps the first chunk itself.  A worker
+writes its rows to an unlinked file beside --out and sends back its
+partial result; the parts are merged in chunk order and the rows appended
+with os.sendfile, so the output is byte-identical at every N.  A range is
+split only into chunks of at least MIN_CHUNK_POINTS points, or
+MIN_CHUNK_ROWS when rows are written, so that every chunk pays back its
+fork; shorter ranges, log-spaced samples, --jobs 1 and platforms other than
+Linux run in this process alone.  Whatever ends a split run, an error, an
+interrupt or a kill, no worker outlives it.
 
 Run as a program (``python -m factprimes.cli`` or the ``factprimes``
 script, that is main() without argv), main first calls gc.freeze(): the
@@ -21,8 +32,8 @@ process on a 2-vCPU x86-64 host).  main(argv) with an explicit list, as
 tests and tracers call it, leaves the collector's state alone.
 
 Exit codes: 0 success / all checks hold, 1 a verified inequality failed or
-a constant missed its tolerance, 2 bad arguments, 3 resource limits or
-unwritable output.
+a constant missed its tolerance, 2 bad arguments, 3 resource limits,
+unwritable output or a failed worker.
 """
 
 from __future__ import annotations
@@ -32,17 +43,17 @@ import contextlib
 import ctypes
 import gc
 import itertools
-import json
 import os
+import pickle
 import sys
-from fractions import Fraction
+import tempfile
 from itertools import pairwise
 from typing import Sequence
 
 import numpy as np
 
 from . import bounds, perfecter, primes
-from .errors import DomainError, OutOfRangeError, ResourceLimitError, checked
+from .errors import DomainError, OutOfRangeError, ResourceLimitError, WorkerError, checked
 from .upsilon import odd_exponent_blocks, upsilon as upsilon_stats
 from .valuation import decomposition_blocks
 
@@ -61,8 +72,6 @@ def fmt(x) -> str:
         return "true" if x else "false"
     if isinstance(x, (int, np.integer)):
         return str(int(x))
-    if isinstance(x, Fraction):
-        x = float(x)
     return f"{float(x):.12g}"
 
 
@@ -124,6 +133,128 @@ def _build_table(needed: int, max_sieve: int | None) -> primes.PrimeTable:
     return primes.build_table(max(needed, 2), limit_cap=_sieve_limit(needed, max_sieve))
 
 
+# ------------------------------------------------------------------- chunks
+
+# A range is split only where every chunk pays back its fork several times
+# over.  On a 2-vCPU x86-64 host a fork round trip (fork, os._exit, waitpid)
+# of a process holding the package and a table took 1.6-2.5 ms, a swept
+# point 0.05-0.16 us with no row written, and a written row 1.4-2.0 us:
+# 2^17 points are 7-21 ms of work, and 2^13 rows 11-16 ms.  At those chunk
+# sizes --jobs 2 measured even with --jobs 1 end to end, and faster above.
+MIN_CHUNK_POINTS = 1 << 17
+MIN_CHUNK_ROWS = 1 << 13
+
+# Workers need os.fork, and appending their rows needs an os.sendfile that
+# copies from file to file: Linux has both.
+_CAN_SPLIT = sys.platform.startswith("linux")
+
+
+def _chunks(n_from: int, n_to: int, step: int, jobs: int, size: int
+            ) -> list[tuple[int, int]]:
+    """The points n_from, n_from + step, ... <= n_to cut into at most jobs
+    contiguous chunks of at least size points each, as (first, last)
+    pairs; one chunk, [n_from, n_to], where no cut is worth it."""
+    points = (n_to - n_from) // step + 1
+    count = min(jobs, points // size) if _CAN_SPLIT else 1
+    if count < 2:
+        return [(n_from, n_to)]
+    cuts = [n_from + points * i // count * step for i in range(count + 1)]
+    return [(a, b - step) for a, b in pairwise(cuts)]
+
+
+def _in_chunks(chunks, work, fh) -> list:
+    """[work(first, last, out) for each chunk], in chunk order, where work
+    writes the chunk's rows to out when fh is given.
+
+    This process runs the first chunk with out = fh, after forking one
+    worker for each other chunk.  A worker writes to an unlinked file beside
+    fh, sends its result back pickled through a pipe and leaves by
+    os._exit; its rows are then appended to fh in the kernel.  A worker that
+    fails raises WorkerError here, and on any error or interrupt the
+    workers still running are killed and reaped.
+    """
+    if len(chunks) == 1:
+        return [work(*chunks[0], fh)]
+    where = None if fh is None else os.path.dirname(os.path.abspath(fh.name))
+    running: dict[int, tuple[int, int]] = {}  # pid -> chunk, until reaped
+    parent = os.getpid()
+    with contextlib.ExitStack() as stack:
+        stack.callback(_stop, running)
+        workers = []
+        for chunk in chunks[1:]:
+            out = None if fh is None else stack.enter_context(
+                tempfile.TemporaryFile("w+", newline="", dir=where))
+            r, w = os.pipe()
+            pipe = stack.enter_context(open(r, "rb"))
+            try:
+                pid = os.fork()
+            except OSError as exc:
+                os.close(w)
+                raise WorkerError(f"cannot fork: {exc}") from None
+            if pid == 0:
+                _worker(work, chunk, out, w, parent)
+            os.close(w)
+            running[pid] = chunk
+            workers.append((pid, pipe, out))
+        results = [work(*chunks[0], fh)]
+        for pid, pipe, out in workers:
+            sent = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            first, last = running.pop(pid)
+            ok, result = (pickle.loads(sent) if code == 0 and sent
+                          else (False, f"exit status {code}"))
+            if not ok:
+                raise WorkerError(f"n in [{first}, {last}]: {result}")
+            results.append(result)
+            if out is not None:
+                fh.flush()
+                _append(fh.fileno(), out.fileno())
+    return results
+
+
+# linux/prctl.h's option for the signal a process gets when its parent
+# dies, and Linux's SIGKILL (importing signal would cost a split run 1 ms)
+_PR_SET_PDEATHSIG, _SIGKILL = 1, 9
+
+
+def _worker(work, chunk, out, pipe: int, parent: int):
+    # the body of a forked worker: it leaves by os._exit, never returning
+    # into the frames it was forked from, and dies with its parent, however
+    # that ends (SIGKILL included), or at once if it already has
+    code = 1
+    try:
+        prctl = ctypes.CDLL(None).prctl
+        prctl.argtypes, prctl.restype = (ctypes.c_int, ctypes.c_ulong), ctypes.c_int
+        prctl(_PR_SET_PDEATHSIG, _SIGKILL)
+        if os.getppid() != parent:
+            return
+        try:
+            result = True, work(*chunk, out)
+            if out is not None:
+                out.flush()
+        except Exception as exc:  # the parent reports it and exits
+            result = False, f"{type(exc).__name__}: {exc}"
+        with open(pipe, "wb") as fh:
+            pickle.dump(result, fh)
+        code = 0
+    finally:
+        os._exit(code)
+
+
+def _stop(running: dict[int, tuple[int, int]]) -> None:
+    # kill and reap the workers not reaped yet (after an error or interrupt)
+    for pid in running:
+        os.kill(pid, _SIGKILL)
+        os.waitpid(pid, 0)
+
+
+def _append(dst: int, src: int) -> None:
+    # the whole file src appended to dst with no copy through this process
+    size, done = os.fstat(src).st_size, 0
+    while done < size:
+        done += os.sendfile(dst, src, done, size - done)
+
+
 # ---------------------------------------------------------------- decompose
 
 def cmd_decompose(args) -> int:
@@ -134,6 +265,7 @@ def cmd_decompose(args) -> int:
     blocks, out = decomposition_blocks(table, args.n), sys.stdout
 
     if args.format == "json":
+        import json
         # json.dumps(..., separators=(",", ":")) of {n, factors, upsilon, mean}:
         # the first pair, of the prime 2, opens the list, and a comma leads
         # every later one
@@ -199,19 +331,32 @@ def cmd_verify(args) -> int:
     _keep_window_buffers(bounds.walk_points((bound.lhs,), n_from, n_to,
                                             log_samples=args.log_samples))
     table = _build_table(n_to, args.max_sieve)
-    windows = bounds.sweep(table, tid, n_from, n_to, log_samples=args.log_samples)
+    constants = bounds.default_constants()
+    # sweep checks its arguments when called: here, before --out is opened
+    bounds.sweep(table, tid, n_from, n_to, log_samples=args.log_samples,
+                 constants=constants)
+    chunks = ([(n_from, n_to)] if args.log_samples is not None else
+              _chunks(n_from, n_to, 1, args.jobs,
+                      MIN_CHUNK_ROWS if args.out else MIN_CHUNK_POINTS))
 
-    shown: list[tuple] = []
+    def work(first, last, fh):
+        shown: list[tuple] = []
+        windows = bounds.sweep(table, tid, first, last, log_samples=args.log_samples,
+                               constants=constants)
+        return (bounds.summarize_reports(tid, first, last, args.log_samples,
+                                         _stream(tid, windows, fh, shown)), shown)
+
     try:
         with (open(args.out, "w", newline="") if args.out
               else contextlib.nullcontext()) as fh:
             if fh is not None:
                 fh.write(CSV_HEADER + "\n")
-            summary = bounds.summarize_reports(tid, n_from, n_to, args.log_samples,
-                                               _stream(tid, windows, fh, shown))
+            parts = _in_chunks(chunks, work, fh)
     except OSError as exc:
         print(f"cannot write report: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
+    summary = bounds.merge_summaries([part for part, _ in parts])
+    shown = [v for _, part in parts for v in part][:MAX_SHOWN]
 
     skipped = summary.n_checked - summary.n_applicable
     note = f" ({skipped} below the validity window n >= {bound.start})" if skipped else ""
@@ -338,16 +483,23 @@ def cmd_scan(args) -> int:
     _keep_window_buffers(bounds.walk_points(_SCAN_KINDS, args.n_from, args.n_to,
                                             step=args.step))
     cap = _sieve_limit(args.n_to, args.max_sieve)
-    rows = 0
     try:
         with open(args.out, "w", newline="") as fh:
             table = primes.build_table(args.n_to, limit_cap=cap)
             constants = bounds.default_constants()
+
+            def work(first, last, out):
+                rows = 0
+                for cols in bounds.columns(table, _SCAN_KINDS, first, last,
+                                           step=args.step):
+                    _scan_rows(out, table, constants, cols)
+                    rows += len(cols.n)
+                return rows
+
             fh.write(SCAN_HEADER + "\n")
-            for cols in bounds.columns(table, _SCAN_KINDS, args.n_from,
-                                       args.n_to, step=args.step):
-                _scan_rows(fh, table, constants, cols)
-                rows += len(cols.n)
+            chunks = _chunks(args.n_from, args.n_to, args.step, args.jobs,
+                             MIN_CHUNK_ROWS)
+            rows = sum(_in_chunks(chunks, work, fh))
     except OSError as exc:
         print(f"cannot write {args.out}: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
@@ -424,8 +576,10 @@ def build_parser() -> argparse.ArgumentParser:
     mode.add_argument("--log-samples", type=int, default=None, metavar="K",
                       help="check K geometrically spaced points instead")
     p.add_argument("--out", default=None, help="write per-n CSV report here")
-    p.add_argument("--jobs", type=_job_count, default=1,
-                   help="accepted for compatibility; has no effect")
+    p.add_argument("--jobs", type=_job_count, default=1, metavar="N",
+                   help="split an exhaustive range into at most N chunks, one "
+                        "process each, where every chunk is long enough to pay "
+                        "for its process; the output is the same at every N")
     add_max_sieve(p)
     p.set_defaults(func=cmd_verify)
 
@@ -447,8 +601,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--to", dest="n_to", type=int, required=True)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=_job_count, default=1,
-                   help="accepted for compatibility; has no effect")
+    p.add_argument("--jobs", type=_job_count, default=1, metavar="N",
+                   help="split the range into at most N chunks, one process "
+                        "each, where every chunk is long enough to pay for its "
+                        "process; the output is the same at every N")
     add_max_sieve(p)
     p.set_defaults(func=cmd_scan)
     return parser
@@ -466,6 +622,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except ResourceLimitError as exc:
         print(f"resource limit: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except WorkerError as exc:
+        print(f"worker failed: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
     except (DomainError, OutOfRangeError) as exc:
         print(f"bad request: {exc}", file=sys.stderr)

@@ -22,6 +22,10 @@ class ResourceLimitError(FactprimesError, RuntimeError):
     """A request would exceed a configured memory or runtime cap."""
 
 
+class WorkerError(FactprimesError, RuntimeError):
+    """A worker process of a split range failed or could not be started."""
+
+
 class QuadratureError(FactprimesError, ArithmeticError):
     """Adaptive integration failed to converge within the depth limit.
 

@@ -11,8 +11,8 @@ theta and pi bounds are records of the bound registry (``bounds.BOUNDS``);
 
 Sums of prime logarithms are exact: every theta value is the correctly
 rounded sum of its ``log p`` terms, as ``math.fsum`` would return it (see
-:func:`log_limbs`).  ``theta`` reads the table's small log directory, built
-on first use, and :func:`theta_from` carries the limb totals along runs of
+:func:`log_limbs`).  ``theta`` reads the table's small log directory, filled
+on demand, and :func:`theta_from` carries the limb totals along runs of
 points, so the theta bounds' sweeps hold no array over all primes.
 """
 
@@ -132,13 +132,13 @@ class PrimeTable(Record):
     ``primes`` (every prime, int64) and ``log_prefix`` (``log_prefix[i]``
     equals ``sum(log(primes[j]) for j <= i)``, correctly rounded) are
     computed on first use, for callers that need all of them; the
-    package's own queries read neither.  So is ``log_directory``, the
-    exact log-limb totals at every _LOG_STEP values (about limit/512
-    bytes), through which ``log_totals_in`` sums the logs
-    of a value range while unpacking only its two ends.  Every array is
-    read-only.  Two threads that read a cached array first at the same
-    time may both compute it, with the same result.  The table keeps a
-    ``__dict__`` for these cached arrays; its fields are read-only.
+    package's own queries read neither.  Two threads that read a cached
+    array first at the same time may both compute it, with the same result.
+    ``log_totals_in`` sums the logs of a value range while unpacking only
+    its two ends, through a directory of the exact log-limb totals at every
+    _LOG_STEP values (about limit/512 bytes), filled on demand up to the
+    largest value asked for.  The table keeps a ``__dict__`` for these
+    caches; its fields are read-only.
     """
 
     _fields = ("limit", "bits", "rank")
@@ -146,7 +146,10 @@ class PrimeTable(Record):
     def __init__(self, limit: int, bits: np.ndarray, rank: np.ndarray) -> None:
         bits.setflags(write=False)
         rank.setflags(write=False)
-        super().__init__(limit=limit, bits=bits, rank=rank)
+        size = limit // _LOG_STEP + 1
+        super().__init__(limit=limit, bits=bits, rank=rank,
+                         _log_directory=(np.zeros(size, np.int64), np.zeros(size, np.int64)),
+                         _log_done=(0, 0, 0))
 
     @functools.cached_property
     def primes(self) -> np.ndarray:
@@ -160,25 +163,27 @@ class PrimeTable(Record):
         prefix.setflags(write=False)
         return prefix
 
-    @functools.cached_property
-    def log_directory(self) -> tuple[np.ndarray, np.ndarray]:
-        # the limb totals of the primes <= k * _LOG_STEP, k = 0 .. limit // _LOG_STEP
-        size = self.limit // _LOG_STEP + 1
-        directory = (np.zeros(size, dtype=np.int64), np.zeros(size, dtype=np.int64))
-        running = [0, 0]
-        for lo in range(0, self.limit, _VALUE_BLOCK):
-            hi = min(lo + _VALUE_BLOCK, self.limit)
-            ps = self.primes_in(lo, hi)
-            marks = np.arange(lo + _LOG_STEP, hi + 1, _LOG_STEP)
+    def _log_entry(self, k: int) -> tuple[int, int]:
+        # Entry k of the log directory: the limb totals of the primes
+        # <= k * _LOG_STEP.  Entries are filled a value block at a time, up
+        # to the largest asked for; _log_done holds the values done and the
+        # running totals there, one tuple replaced whole, so threads that
+        # fill at once write the same entries and read consistent totals.
+        high, low = self._log_directory
+        done, *running = self._log_done
+        while done < k * _LOG_STEP:
+            hi = min(done + _VALUE_BLOCK, self.limit)
+            ps = self.primes_in(done, hi)
+            marks = np.arange(done + _LOG_STEP, hi + 1, _LOG_STEP)
             at = np.searchsorted(ps, marks, side="right")
             limbs = log_limbs(np.log(ps.astype(np.float64)))
-            for i in range(2):
+            for i, entries in enumerate((high, low)):
                 sums = np.cumsum(np.concatenate(([running[i]], limbs[i])))
-                directory[i][marks // _LOG_STEP] = sums[at]
+                entries[marks // _LOG_STEP] = sums[at]
                 running[i] = int(sums[-1])
-        for a in directory:
-            a.setflags(write=False)
-        return directory
+            done = hi
+            vars(self)["_log_done"] = (done, *running)
+        return int(high[k]), int(low[k])
 
     def log_totals_in(self, lo: int, hi: int) -> tuple[int, int]:
         """The exact log-limb totals of the primes p with lo < p <= hi
@@ -189,8 +194,9 @@ class PrimeTable(Record):
         for x, sign in ((hi, 1), (lo, -1)):
             k = x // _LOG_STEP
             h, l = log_totals(self.primes_in(k * _LOG_STEP, x))
-            high += sign * (int(self.log_directory[0][k]) + h)
-            low += sign * (int(self.log_directory[1][k]) + l)
+            dh, dl = self._log_entry(k)
+            high += sign * (dh + h)
+            low += sign * (dl + l)
         return high, low
 
     def __len__(self) -> int:

@@ -32,8 +32,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from fractions import Fraction
-from typing import Iterator, NamedTuple
+from typing import TYPE_CHECKING, Iterator, NamedTuple
 
 import numpy as np
 
@@ -42,6 +41,9 @@ from .primes import (PrimeTable, limb_prefix, limb_value, log_limbs, log_totals,
                      nth_prime, pi, prime_blocks)
 from .special_functions import lambert_w
 from .valuation import _legendre_exponents, valuation_vector
+
+if TYPE_CHECKING:
+    from fractions import Fraction
 
 # Below e^e the double logarithm is < 1 and the asymptotic location
 # formulas are meaningless; they are populated from this point on.
@@ -102,6 +104,7 @@ def upsilon(table: PrimeTable, n: int) -> UpsilonResult:
         DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
+    from fractions import Fraction
     n = checked("n", n, 2, table=table)
     ups = upsilon_value(table, n)
     pi_n = pi(table, n)

@@ -32,8 +32,11 @@ def is_prime(n: int) -> bool:
     """Deterministic primality check of an integer n.
 
     A strong probable-prime (Miller-Rabin) test to the bases 2 .. 41
-    decides every n below 3.3e24; a larger n that passes it is confirmed
-    by trial division, so every answer is a proof.
+    decides every n below 3.3e24.  A larger n that passes it must also pass
+    a strong Lucas test (the two together are the Baillie-PSW test, which
+    no composite is known to pass), so composites are refused at once; one
+    that passes both is confirmed by trial division, so every answer is a
+    proof.
     """
     n = checked("prime candidate", n)
     if n < 2:
@@ -41,26 +44,82 @@ def is_prime(n: int) -> bool:
     for p in _MR_BASES:
         if n % p == 0:
             return n == p
-    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
-    d = (n - 1) >> s
-    for a in _MR_BASES:
-        x = pow(a, d, n)
-        if x == 1 or x == n - 1:
-            continue
-        for _ in range(s - 1):
-            x = x * x % n
-            if x == n - 1:
-                break
-        else:
-            return False
+    if not all(_strong_probable_prime(n, a) for a in _MR_BASES):
+        return False
     if n < _MR_EXACT_BELOW:
         return True
+    if not _strong_lucas_probable_prime(n):
+        return False
     f = _MR_BASES[-1] + 2
     while f * f <= n:
         if n % f == 0:
             return False
         f += 2
     return True
+
+
+def _strong_probable_prime(n: int, a: int) -> bool:
+    # the Miller-Rabin round to the base a, for an odd n > a
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d 2^s with d odd
+    x = pow(a, (n - 1) >> s, n)
+    if x == 1 or x == n - 1:
+        return True
+    for _ in range(s - 1):
+        x = x * x % n
+        if x == n - 1:
+            return True
+    return False
+
+
+def _jacobi(a: int, n: int) -> int:
+    # the Jacobi symbol (a/n) for an odd n > 0
+    a %= n
+    sign = 1
+    while a:
+        while a % 2 == 0:
+            a //= 2
+            if n % 8 in (3, 5):
+                sign = -sign
+        a, n = n, a
+        if a % 4 == n % 4 == 3:
+            sign = -sign
+        a %= n
+    return sign if n == 1 else 0
+
+
+def _strong_lucas_probable_prime(n: int) -> bool:
+    """The strong Lucas probable-prime test of an odd n > 2 with Selfridge's
+    parameters: D the first of 5, -7, 9, -11, ... with (D/n) = -1, P = 1,
+    Q = (1 - D)/4.  With n + 1 = d 2^s, d odd, it passes when U_d = 0 or
+    V_(d 2^r) = 0 mod n for some 0 <= r < s (Baillie & Wagstaff, Math.
+    Comp. 35, 1980).  Every odd prime passes."""
+    if math.isqrt(n) ** 2 == n:
+        return False  # no D has (D/n) = -1
+    d = 5
+    while (j := _jacobi(d, n)) != -1:
+        if j == 0 and abs(d) != n:
+            return False  # d shares a factor with n
+        d = -d - 2 if d > 0 else -d + 2
+    q = (1 - d) // 4
+    s = ((n + 1) & -(n + 1)).bit_length() - 1
+    k = (n + 1) >> s
+
+    def half(x):  # x / 2 mod the odd n
+        return (x + n if x & 1 else x) // 2 % n
+
+    # U_m, V_m and Q^m mod n for m the leading bits of k, from m = 1
+    u, v, qm = 1, 1, q % n
+    for bit in bin(k)[3:]:
+        u, v, qm = u * v % n, (v * v - 2 * qm) % n, qm * qm % n
+        if bit == "1":
+            u, v, qm = half(u + v), half(d * u + v), qm * q % n
+    if u == 0 or v == 0:
+        return True
+    for _ in range(s - 1):
+        v, qm = (v * v - 2 * qm) % n, qm * qm % n
+        if v == 0:
+            return True
+    return False
 
 
 def digit_sum(n: int, base: int) -> int:

@@ -626,3 +626,18 @@ def test_cli_import_loads_no_heavy_module():
     done = subprocess.run([sys.executable, "-c", probe], env=env,
                           capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def test_verify_imports_no_fractions_decimal_or_json():
+    # about 6 ms of every process: a Fraction is built only on exact paths,
+    # and json is needed only by decompose --format json
+    src = str(Path(factprimes.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-X", "importtime", "-m", "factprimes.cli",
+                           "verify", "T1", "--from", "3", "--to", "1000"],
+                          env=dict(os.environ, PYTHONPATH=src), capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    loaded = {line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+              if line.startswith("import time:")}
+    assert "factprimes.bounds" in loaded
+    assert loaded.isdisjoint({"fractions", "decimal", "json"})

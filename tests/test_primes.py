@@ -321,6 +321,24 @@ class TestBitTable:
                 == math.fsum(np.log(ps.astype(np.float64)).tolist()))
         assert "primes" not in vars(table)
 
+    def test_log_directory_fills_on_demand(self):
+        # a value block at a time, up to the largest value asked for, and
+        # to the same totals in any order of asking
+        block, step = primes._VALUE_BLOCK, primes._LOG_STEP
+        limit = 3 * block + step + 5
+        table, fresh = build_table(limit), build_table(limit)
+        assert theta(table, 100) == math.log(math.prod(map(int, table.primes_in(0, 100))))
+        assert table._log_done[0] == 0
+        xs = [2 * block + step + 7, block - 1, limit, block + 3 * step]
+        values = [theta(table, xs[0])]
+        assert table._log_done[0] == 3 * block
+        values += [theta(table, x) for x in xs[1:]]
+        assert table._log_done[0] == limit
+        assert [theta(fresh, x) for x in reversed(xs)] == values[::-1]
+        for x, value in zip(xs, values):
+            ps = table.primes_in(0, x).astype(np.float64)
+            assert value == math.fsum(np.log(ps).tolist())
+
     def test_log_totals_in_at_directory_marks(self, table_big):
         step = primes._LOG_STEP
         for lo, hi in [(0, step), (step - 1, step), (step, 2 * step + 1),

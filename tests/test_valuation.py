@@ -11,7 +11,8 @@ from factprimes import (DomainError, OutOfRangeError, ResourceLimitError,
                         digit_sum, factorial_valuation_oracle,
                         full_decomposition, is_prime, legendre_valuation,
                         omega, primes, valuation_vector)
-from factprimes.valuation import decomposition_blocks
+from factprimes.valuation import (_strong_lucas_probable_prime, _strong_probable_prime,
+                                  decomposition_blocks)
 
 SMALL_PRIMES = [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
 
@@ -178,6 +179,24 @@ class TestHelpers:
         # strong pseudoprimes to the bases 2 .. 7, and to the bases 2 .. 23
         for n in (3215031751, 3825123056546413051):
             assert not sympy.isprime(n) and not is_prime(n)
+
+    def test_strong_lucas_step_matches_sympy(self):
+        # on every odd n below 1e5: sympy's strong Lucas test, and with the
+        # Miller-Rabin round to base 2 (Baillie-PSW), sympy.isprime
+        from sympy.ntheory.primetest import is_strong_lucas_prp
+        for n in range(3, 100_000, 2):
+            lucas = _strong_lucas_probable_prime(n)
+            assert lucas == is_strong_lucas_prp(n), n
+            assert (lucas and _strong_probable_prime(n, 2)) == sympy.isprime(n), n
+
+    def test_pseudoprime_to_every_base_is_refused_at_once(self):
+        # the least strong pseudoprime to the bases 2 .. 41, where trial
+        # division alone ran for hours
+        n = 3_317_044_064_679_887_385_961_981
+        assert not sympy.isprime(n)
+        start = perf_counter()
+        assert not is_prime(n) and not is_prime(n * 1_000_003)
+        assert perf_counter() - start < 1
 
     def test_legendre_valuation_of_a_large_prime_is_fast(self):
         # trial division took 0.66 s to accept p
