@@ -55,12 +55,6 @@ from .upsilon import Columns, factorial_points, factorial_windows
 if TYPE_CHECKING:
     from fractions import Fraction
 
-# Interval half-width used when an exact rational mean is compared against
-# a binary64 right-hand side, to keep negligible-slack points from flipping;
-# a numerator and denominator, so that fractions is imported only where a
-# Fraction is built.
-MEAN_WIDENING = (1, 10**9)
-
 S1_EXACT_CAP = 1000
 
 # 10-significant-digit tabulated values of the constants (display targets).
@@ -126,11 +120,6 @@ class ConstantEntry(NamedTuple):
     def abs_diff(self) -> float:
         """Distance from the frozen high-precision evaluation."""
         return abs(self.value - self.exact_eval)
-
-    @property
-    def tabulated_diff(self) -> float:
-        """Distance from the 10-digit tabulated decimal."""
-        return abs(self.value - self.tabulated)
 
 
 class ConstantsTable(Record):
@@ -387,7 +376,7 @@ class Bound(NamedTuple):
     """One checked inequality ``lhs <sense> rhs(n)``, claimed for n >= start.
 
     ``lhs`` names the left-hand side: "upsilon" (exponent sum of n!),
-    "mean" (upsilon / pi(n), re-decided exactly near the boundary),
+    "mean" (upsilon / pi(n), decided exactly against the binary64 rhs),
     "theta" (|theta(n) - n|), "pi" (prime count) or "perfecter" (log of the
     minimal square perfecter).  ``sense`` is "<", ">", "<=" or ">=", or
     "between" for the two-sided perfecter bound, whose sides both come from
@@ -519,21 +508,22 @@ def _check_range(table: PrimeTable, n_from, n_to, bound: Bound | None = None, *,
             raise DomainError(f"n must be an integer, got {n}")
 
 
-def _mean_holds(upper: bool, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
+def _mean_holds(sense: str, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
                 rhs: np.ndarray, slack: np.ndarray) -> np.ndarray:
-    """Verdicts on the mean: a 1e-9 float cushion, except that points with
-    |slack| < 1e-3 compare the exact rational mean with the rhs widened by
-    MEAN_WIDENING, so negligible-slack points cannot flip on rounding."""
-    holds = mean < rhs + 1e-9 if upper else mean > rhs - 1e-9
-    near = np.flatnonzero((np.abs(slack) < 1e-3) & np.isfinite(rhs)).tolist()
+    """Verdicts of upsilon/pi <sense> rhs, exact against the binary64 rhs.
+
+    upsilon and pi are below 2^53, so the float mean is their quotient
+    correctly rounded, within |mean| 2^-53 of it: where |slack| exceeds
+    |mean| 2^-52, the float comparison has the exact sign.  The points
+    nearer than that compare Fraction(upsilon, pi) with Fraction(rhs).
+    """
+    holds = _COMPARE[sense](mean, rhs)
+    near = np.flatnonzero(np.abs(slack) <= np.abs(mean) * 2.0**-52).tolist()
     if near:
         from fractions import Fraction
-        widening = Fraction(*MEAN_WIDENING)
     for i in near:
-        mean_exact = Fraction(int(ups[i]), int(pis[i]))
-        rhs_exact = Fraction(float(rhs[i]))
-        holds[i] = (mean_exact < rhs_exact + widening if upper
-                    else mean_exact > rhs_exact - widening)
+        holds[i] = _COMPARE[sense](Fraction(int(ups[i]), int(pis[i])),
+                                   Fraction(float(rhs[i])))
     return holds
 
 
@@ -563,7 +553,7 @@ def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: Constant
             lhs = table.count(ns).astype(np.float64)
         slack = rhs - lhs if bound.upper else lhs - rhs
         if bound.lhs == "mean":
-            holds = _mean_holds(bound.upper, cols.upsilon, cols.pi, lhs, rhs, slack)
+            holds = _mean_holds(bound.sense, cols.upsilon, cols.pi, lhs, rhs, slack)
         else:
             holds = _COMPARE[bound.sense](lhs, rhs)
     return Window(ns, lhs, rhs, slack, holds, ns >= bound.start,

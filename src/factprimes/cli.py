@@ -324,31 +324,35 @@ def cmd_verify(args) -> int:
         print(f"empty range [{n_from}, {n_to}]", file=sys.stderr)
         return EXIT_USAGE
     bound = bounds.BOUNDS[tid]
+    # a perfecter range wholly below its window keeps its ends and checks no point
+    below = bound.lhs == "perfecter" and n_to < bound.start
     if bound.lhs == "perfecter" and n_from < bound.start:
         print(f"note: perfecter bounds start at n = {bound.start}; clipping range",
               file=sys.stderr)
-        n_from = bound.start
+        n_from = n_from if below else bound.start
     _keep_window_buffers(bounds.walk_points((bound.lhs,), n_from, n_to,
                                             log_samples=args.log_samples))
-    table = _build_table(n_to, args.max_sieve)
-    constants = bounds.default_constants()
-    # sweep checks its arguments when called: here, before --out is opened
-    bounds.sweep(table, tid, n_from, n_to, log_samples=args.log_samples,
-                 constants=constants)
-    chunks = ([(n_from, n_to)] if args.log_samples is not None else
+    cap = _sieve_limit(n_to, args.max_sieve)
+    if not below:
+        # sweep's checks, before --out is opened and the table sieved; a
+        # table built to n_to meets their table limit
+        bounds.columns(None, (bound.lhs,), n_from, n_to, log_samples=args.log_samples)
+    chunks = ([(n_from, n_to)] if args.log_samples is not None or below else
               _chunks(n_from, n_to, 1, args.jobs,
                       MIN_CHUNK_ROWS if args.out else MIN_CHUNK_POINTS))
 
     def work(first, last, fh):
         shown: list[tuple] = []
-        windows = bounds.sweep(table, tid, first, last, log_samples=args.log_samples,
-                               constants=constants)
+        windows = () if below else bounds.sweep(
+            table, tid, first, last, log_samples=args.log_samples, constants=constants)
         return (bounds.summarize_reports(tid, first, last, args.log_samples,
                                          _stream(tid, windows, fh, shown)), shown)
 
     try:
         with (open(args.out, "w", newline="") if args.out
               else contextlib.nullcontext()) as fh:
+            table = primes.build_table(max(n_to, 2), limit_cap=cap)
+            constants = bounds.default_constants()
             if fh is not None:
                 fh.write(CSV_HEADER + "\n")
             parts = _in_chunks(chunks, work, fh)

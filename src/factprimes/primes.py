@@ -56,22 +56,29 @@ _LIMB_MASK = (1 << _LIMB_BITS) - 1
 _PREFIX_BLOCK = 1 << 16
 
 
+def log_scaled(logs: np.ndarray) -> np.ndarray:
+    """logs * 2^53, exact in int64, for float64 logs of integers >= 2."""
+    return np.ldexp(logs, _LOG_SCALE).astype(np.int64)
+
+
 def log_limbs(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The high and low int64 limbs of logs * 2^53, for float64 logs of
     integers >= 2."""
-    k = np.ldexp(logs, _LOG_SCALE).astype(np.int64)
+    k = log_scaled(logs)
     return k >> _LIMB_BITS, k & _LIMB_MASK
 
 
-def limb_prefix(high: np.ndarray, low: np.ndarray, start: tuple[int, int] = (0, 0)
+def limb_prefix(scaled: np.ndarray, start: tuple[int, int] = (0, 0)
                 ) -> tuple[np.ndarray, tuple[int, int]]:
-    """Correctly rounded prefix sums of a run of (high, low) limbs, added to
-    the limb totals start, and the new totals to continue from."""
-    high = start[0] + np.cumsum(high)
-    low = start[1] + np.cumsum(low)
-    totals = (int(high[-1]), int(low[-1]))
+    """Correctly rounded prefix sums of a run of int64 scaled logs (of
+    log_scaled, or signed sums of them), added to the limb totals start, and
+    the new totals to continue from, carried so that their low limb is below
+    2^32 however long the runs go on."""
+    high = start[0] + np.cumsum(scaled >> _LIMB_BITS)
+    low = start[1] + np.cumsum(scaled & _LIMB_MASK)
     high += low >> _LIMB_BITS
     low &= _LIMB_MASK
+    totals = (int(high[-1]), int(low[-1]))
     exact = high * float(1 << _LIMB_BITS) + low  # exact, then one rounding
     return np.ldexp(exact, -_LOG_SCALE), totals
 
@@ -96,21 +103,9 @@ def log_totals(values: np.ndarray) -> tuple[int, int]:
 
 def _kahan_prefix(table: PrimeTable) -> np.ndarray:
     """Prefix sums of the logarithms of the table's primes, each one
-    correctly rounded.
-
-    Limb cumsums instead of a running float total, so ``out[i]`` equals
-    ``math.fsum(log(primes[:i + 1]))``.  The primes are read in value
-    blocks of ``primes_in``, so the temporaries stay small and the
-    ``primes`` array is not built.
-    """
-    out = np.empty(len(table), dtype=np.float64)
-    totals = (0, 0)
-    k = 0
-    for ps in prime_blocks(table, 0, table.limit):
-        out[k:k + len(ps)], totals = limb_prefix(
-            *log_limbs(np.log(ps.astype(np.float64))), totals)
-        k += len(ps)
-    return out
+    correctly rounded: theta at every prime, so ``out[i]`` equals
+    ``math.fsum(log(primes[:i + 1]))``."""
+    return theta_from(table, table.primes_in(0, table.limit), 0, (0, 0))[0]
 
 
 # Odd numbers per sieve segment, and per unpacked block of primes_in: a
@@ -384,7 +379,7 @@ def theta_from(table: PrimeTable, ns: np.ndarray, done: int, totals: tuple[int, 
         i, j = np.searchsorted(ns, (a, b), side="right")  # the points in (a, b]
         ps = table.primes_in(a, b)
         if len(ps):
-            prefix, after = limb_prefix(*log_limbs(np.log(ps.astype(np.float64))), totals)
+            prefix, after = limb_prefix(log_scaled(np.log(ps.astype(np.float64))), totals)
             # each prime counts from the first point at or above it on
             cuts = np.concatenate(([0], np.searchsorted(ns[i:j], ps), [j - i]))
             out[i:j] = np.repeat(np.concatenate(([limb_value(totals)], prefix)), np.diff(cuts))

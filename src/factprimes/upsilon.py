@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, FactprimesError, OutOfRangeError, checked
-from .primes import (PrimeTable, limb_prefix, limb_value, log_limbs, log_totals,
+from .primes import (PrimeTable, limb_prefix, limb_value, log_scaled, log_totals,
                      nth_prime, pi, prime_blocks)
 from .special_functions import lambert_w
 from .valuation import _legendre_exponents, valuation_vector
@@ -129,18 +129,24 @@ def upsilon_asymptotic_gap(table: PrimeTable, n: int) -> float:
     return (ups - n * math.log(math.log(n))) / n
 
 
+# Points per step of the factor pass's cofactor step, whose temporaries take
+# about 60 bytes a point.
+_COFACTOR_BLOCK = 1 << 14
+
+
 def _factor_pass(table: PrimeTable, lo: int, hi: int, root: int,
-                 odd: np.ndarray | None = None,
-                 limbs: tuple[np.ndarray, np.ndarray] | None = None):
+                 odd: np.ndarray | None = None, scaled: np.ndarray | None = None):
     """Omega(m), as int8, for every m in [lo, hi], by strided slices over
     the primes p <= root (root >= isqrt(hi)); whatever is left of m after
     dividing those out is 1 or one prime q > root, with exponent 1.
 
     With odd (the parities of v_p((lo-1)!) for the primes <= root, updated
-    in place to those of hi!) and limbs (their log limbs), also returns the
-    signed log-limb changes of the odd-exponent set from m-1 to m: the
-    parity of v_p(m!) flips exactly for the primes dividing m to an odd
-    power, and for q > root, v_q(m!) = m // q.
+    in place to those of hi!) and scaled (their log p * 2^53, see
+    primes.log_scaled), also returns the signed change of the odd-exponent
+    set's scaled log-sum from m-1 to m, exact in int64 (m has at most 15
+    distinct prime factors, each below 2^58): the parity of v_p(m!) flips
+    exactly for the primes dividing m to an odd power, and for q > root,
+    v_q(m!) = m // q.
     """
     size = hi - lo + 1
     # narrow dtypes keep the strided passes in cache: Omega(m) <= 62 for
@@ -148,8 +154,7 @@ def _factor_pass(table: PrimeTable, lo: int, hi: int, root: int,
     counts = np.zeros(size, dtype=np.int8)
     rem = np.arange(lo, hi + 1, dtype=np.int32 if hi < 1 << 31 else np.int64)
     if odd is not None:
-        d_high = np.zeros(size, dtype=np.int64)
-        d_low = np.zeros(size, dtype=np.int64)
+        deltas = np.zeros(size, dtype=np.int64)
     for i, p in enumerate(table.primes_up_to(root).tolist()):
         start = -lo % p
         if start >= size:
@@ -171,21 +176,26 @@ def _factor_pass(table: PrimeTable, lo: int, hi: int, root: int,
             state = np.cumsum(e)
             state += odd[i]
             state &= 1
-            sign = (e & 1) * (2 * state - 1)  # +1 joins the set, -1 leaves it
-            d_high[start::p] += sign * limbs[0][i]
-            d_low[start::p] += sign * limbs[1][i]
             odd[i] = state[-1]
+            # in place, so a pass over p = 2 holds two arrays of half the
+            # window: the sign, +1 joins the set and -1 leaves it, then its
+            # product with the scaled log in e
+            state *= 2
+            state -= 1
+            e &= 1
+            state *= e
+            np.multiply(state, scaled[i], out=e)
+            deltas[start::p] += e
     left = rem > 1
     counts += left
     if odd is None:
         return counts, None
-    big = np.flatnonzero(left)
-    q = rem[big]
-    sign = 2 * ((big + lo) // q & 1) - 1
-    high, low = log_limbs(np.log(q.astype(np.float64)))
-    d_high[big] += sign * high
-    d_low[big] += sign * low
-    return counts, (d_high, d_low)
+    for a in range(0, size, _COFACTOR_BLOCK):
+        big = np.flatnonzero(left[a:a + _COFACTOR_BLOCK]) + a
+        q = rem[big]
+        sign = 2 * ((big + lo) // q & 1) - 1
+        deltas[big] += sign * log_scaled(np.log(q.astype(np.float64)))
+    return counts, deltas
 
 
 def omega_window(table: PrimeTable, lo: int, hi: int) -> np.ndarray:
@@ -228,7 +238,7 @@ def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
     Both come from one strided factor pass per window, and the running sums
     are carried over it piece by piece, so no column is built window-long.
     With perfecter the log-sum over the odd-exponent set is carried in exact
-    limbs (see primes.log_limbs), so every value is math.fsum over the same
+    limbs (see primes.log_scaled), so every value is math.fsum over the same
     logs, bit for bit.  With count, pi(n) is carried too: it grows by one
     where Omega(n) == 1.  The arguments are checked when this is called.
 
@@ -354,16 +364,16 @@ def factorial_points(table: PrimeTable, ns: np.ndarray, *,
 def _walk(table, n_from, n_to, window, piece, perfecter, count):
     root = math.isqrt(n_to)
     ups_run, parity, pi_run, totals = _anchor(table, n_from - 1, perfecter)
-    odd = limbs = None
+    odd = scaled = None
     if perfecter:
         small = table.primes_up_to(root)
         # above isqrt(n_from - 1) the exponent in (n_from - 1)! is (n_from - 1) // p
         odd = ((n_from - 1) // small) & 1
         odd[:len(parity)] = parity
-        limbs = log_limbs(np.log(small.astype(np.float64)))
+        scaled = log_scaled(np.log(small.astype(np.float64)))
     for lo in range(n_from, n_to + 1, window):
         hi = min(lo + window - 1, n_to)
-        omega, deltas = _factor_pass(table, lo, hi, root, odd, limbs)
+        omega, deltas = _factor_pass(table, lo, hi, root, odd, scaled)
         for a in range(0, hi - lo + 1, piece):
             b = min(a + piece, hi - lo + 1)
             ups = np.cumsum(omega[a:b], dtype=np.int64)
@@ -371,7 +381,7 @@ def _walk(table, n_from, n_to, window, piece, perfecter, count):
             ups_run = int(ups[-1])
             logs = pis = None
             if perfecter:
-                logs, totals = limb_prefix(deltas[0][a:b], deltas[1][a:b], totals)
+                logs, totals = limb_prefix(deltas[a:b], totals)
             if count:
                 pis = np.cumsum(omega[a:b] == 1, dtype=np.int32)
                 pis += pi_run

@@ -329,6 +329,57 @@ class TestTheoremEvaluation:
         assert rep.lhs == 4 and rep.rhs == rhs_value("PI_UB", 10.9)
 
 
+def mean_holds(sense, ups, pi, rhs):
+    """bounds._mean_holds at one point, given the float mean and slack that
+    evaluate computes there."""
+    ups, pi, rhs = np.array([ups]), np.array([pi]), np.array([rhs])
+    mean = ups / pi
+    slack = rhs - mean if sense in ("<", "<=") else mean - rhs
+    return bool(bounds._mean_holds(sense, ups, pi, mean, rhs, slack)[0])
+
+
+class TestMeanVerdict:
+    # upsilon/pi <sense> rhs is decided exactly against the binary64 rhs,
+    # with no cushion on either side, as every other bound is
+
+    def test_mean_equal_to_an_upper_rhs_fails(self):
+        assert not mean_holds("<", 3, 2, 1.5)
+
+    def test_mean_just_above_an_upper_rhs_fails(self):
+        assert not mean_holds("<", 3_000_000_001, 2_000_000_000, 1.5)
+
+    def test_mean_equal_to_a_lower_rhs_fails(self):
+        assert not mean_holds(">", 3, 2, 1.5)
+
+    def test_mean_just_below_a_lower_rhs_fails(self):
+        assert not mean_holds(">", 2_999_999_999, 2_000_000_000, 1.5)
+
+    def test_mean_one_ulp_inside_its_rhs_holds(self):
+        assert mean_holds("<", 3, 2, math.nextafter(1.5, math.inf))
+        assert mean_holds(">", 3, 2, math.nextafter(1.5, -math.inf))
+
+    def test_a_mean_rounded_onto_its_rhs_is_decided_by_its_exact_value(self):
+        # the float 4/3 lies below 4/3, so against it as rhs the exact mean
+        # holds a lower bound and fails an upper one, where the float mean
+        # equals the rhs
+        rhs = 4 / 3
+        assert Fraction(rhs) < Fraction(4, 3)
+        assert mean_holds(">", 4, 3, rhs) and mean_holds(">=", 4, 3, rhs)
+        assert not mean_holds("<", 4, 3, rhs) and not mean_holds("<=", 4, 3, rhs)
+
+    @pytest.mark.parametrize("tid", ["T2", "T5"])
+    def test_every_sweep_verdict_is_the_exact_comparison(self, tid, table_small):
+        less = bounds.BOUNDS[resolve_theorem_id(tid)].upper
+        windows = list(sweep(table_small, tid, 3, 10_000))
+        cols = list(bounds.columns(table_small, ("mean",), 3, 10_000))
+        rhs = np.concatenate([w.rhs for w in windows]).tolist()
+        ups = np.concatenate([c.upsilon for c in cols]).tolist()
+        pis = np.concatenate([c.pi for c in cols]).tolist()
+        exact = [Fraction(u, p) < Fraction(r) if less else Fraction(u, p) > Fraction(r)
+                 for u, p, r in zip(ups, pis, rhs)]
+        assert np.concatenate([w.holds for w in windows]).tolist() == exact
+
+
 class TestVerifyRange:
     def test_t1_from_3(self, table_small):
         reports, summary = verify_range(table_small, "T1", 3, 2000)

@@ -183,13 +183,22 @@ class TestVerify:
         assert code == 2
         assert "unknown theorem" in err
 
-    @pytest.mark.parametrize("theorem,n_from,n_to", [("PI_LB", 2, 598), ("C3", 3, 1000)])
+    @pytest.mark.parametrize("theorem,n_from,n_to", [("PI_LB", 2, 598), ("C3", 3, 1000),
+                                                     ("S32", 2, 3)])
     def test_range_below_the_window_has_no_verdict(self, capsys, theorem, n_from, n_to):
         code, out, _ = run(capsys, "verify", theorem, "--from", str(n_from), "--to", str(n_to))
         assert code == 0
         lines = out.splitlines()
         assert lines[1:] == ["no verdict: no point in the validity window"]
         assert "min slack" not in out
+
+    def test_perfecter_range_below_the_window_writes_no_row(self, capsys, tmp_path):
+        out_file = tmp_path / "rows.csv"
+        code, out, err = run(capsys, "verify", "S32", "--from", "2", "--to", "3",
+                             "--out", str(out_file))
+        assert code == 0 and "clipping range" in err
+        assert out.splitlines()[0] == "S32_perfecter [2..3] exhaustive: checked 0"
+        assert out_file.read_text() == CSV_HEADER + "\n"
 
     def test_empty_range(self, capsys):
         code, _, _ = run(capsys, "verify", "T1", "--from", "10", "--to", "5")
@@ -492,11 +501,13 @@ class TestScan:
         assert code == 3
 
     def test_unwritable_target_fails_before_sieving(self, capsys, tmp_path, monkeypatch):
+        # scan and verify alike open --out before they build the table
         sieved = []
         monkeypatch.setattr(primes, "build_table", lambda *a, **k: sieved.append(a))
-        code, _, _ = run(capsys, "scan", "--from", "2", "--to", "3000000",
-                         "--out", str(tmp_path / "no_dir" / "x.csv"))
-        assert code == 3 and sieved == []
+        for command in (["scan"], ["verify", "T2"]):
+            code, _, _ = run(capsys, *command, "--from", "2", "--to", "3000000",
+                             "--out", str(tmp_path / "no_dir" / "x.csv"))
+            assert code == 3 and sieved == [], command
 
     @pytest.mark.parametrize("n_from,n_to,step", [(2, 3000, 1), (1000, 1500, 7)])
     def test_rows_match_pointwise(self, capsys, tmp_path, table_small, n_from, n_to, step):

@@ -122,17 +122,21 @@ def test_no_query_builds_the_prime_array():
 def test_walked_sweep_memory_does_not_grow_with_the_walk_window(table, monkeypatch):
     # the running sums are carried one verdict slice at a time, so the
     # only window-long array held while slices are out is the factor
-    # pass's int8 Omega: a byte a point, against 20 with window-long sums
+    # pass's int8 Omega: a byte a point, against 20 with window-long sums.
+    # S32's factor pass adds its int32 remainders and int64 log changes,
+    # and two int64 arrays over half the window in its pass over p = 2:
+    # 21 bytes a point, as its cofactor step takes 2^14 points at a time
     size = bounds.slice_points(N)
     monkeypatch.setattr(bounds, "slice_points", lambda n_to: size)
-    peaks = {}
-    for walk in (1 << 15, 1 << 17):
-        monkeypatch.setattr(bounds, "walk_window", lambda n_to, w=walk: w)
-        windows = bounds.sweep(table, "T2", 3, N)
-        summary, peaks[walk] = traced_peak(bounds.summarize_reports, "T2", 3, N, None,
-                                           windows)
-        assert summary.all_hold and summary.n_checked == N - 2
-    assert peaks[1 << 17] - peaks[1 << 15] <= 2 * ((1 << 17) - (1 << 15))
+    for tid, lo, per_point in (("T2", 3, 2), ("S32", 4, 24)):
+        peaks = {}
+        for walk in (1 << 15, 1 << 17):
+            monkeypatch.setattr(bounds, "walk_window", lambda n_to, w=walk: w)
+            windows = bounds.sweep(table, tid, lo, N)
+            summary, peaks[walk] = traced_peak(bounds.summarize_reports, tid, lo, N, None,
+                                               windows)
+            assert summary.all_hold and summary.n_checked == N - lo + 1
+        assert peaks[1 << 17] - peaks[1 << 15] <= per_point * ((1 << 17) - (1 << 15)), tid
 
 
 @pytest.mark.parametrize("argv", [

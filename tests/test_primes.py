@@ -10,11 +10,11 @@ from factprimes import (DomainError, OutOfRangeError, ResourceLimitError, bounds
                         build_table, check_dusart_pi, check_dusart_theta,
                         evaluate_theorem, nth_prime, pi, primes, theta,
                         theta_classed)
-from factprimes.primes import limb_prefix, log_limbs
+from factprimes.primes import limb_prefix, log_limbs, log_scaled
 
 
 def limb_sum(logs):
-    return float(limb_prefix(*log_limbs(logs))[0][-1])
+    return float(limb_prefix(log_scaled(logs))[0][-1])
 
 
 def trial_primes(limit):
