@@ -364,7 +364,8 @@ def _rhs_s32(n: np.ndarray, c: ConstantsTable | None) -> np.ndarray:
 def perfecter_exponents(n: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Lower and upper exponents of the two-sided perfecter bound,
     n/2 - (793/200) n (1/log n + 1/(2 log(n/2))) and n + (793/200) n / log n,
-    elementwise over a float64 array of n >= 4."""
+    elementwise over a float64 array of n >= 2 (claimed from 4; at n = 2,
+    log(n/2) = 0 makes the lower exponent -inf, with a divide warning)."""
     lg = np.log(n)
     return (n / 2 - _DEV_COEFF * n * (1 / lg + 1 / (2 * np.log(n / 2))),
             _rhs_s32(n, None))
@@ -498,11 +499,9 @@ class Window(NamedTuple):
     marginal: np.ndarray
 
 
-def _check_range(table: PrimeTable, n_from, n_to, bound: Bound | None = None, *,
-                 real: bool = False) -> None:
+def _check_range(table: PrimeTable, n_from, n_to, *, real: bool = False) -> None:
     # an integral float is an integer n here: sweep ranges accept 1e6
-    least = bound.start if bound is not None and bound.lhs == "perfecter" else 2
-    checked("n", n_to, checked("n", n_from, least, real=True), table=table, real=True)
+    checked("n", n_to, checked("n", n_from, 2, real=True), table=table, real=True)
     for n in (n_from, n_to):
         if not (real or n == int(n)):
             raise DomainError(f"n must be an integer, got {n}")
@@ -537,7 +536,8 @@ def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: Constant
     nf = ns.astype(np.float64)
     if bound.lhs == "perfecter":
         lhs = cols.log_perfecter
-        lower, rhs = perfecter_exponents(nf)
+        with np.errstate(divide="ignore"):  # -inf at n = 2, as rhs_at allows
+            lower, rhs = perfecter_exponents(nf)
         # the rhs reported is the upper exponent, the slack the smaller margin
         slack = np.minimum(lhs - lower, rhs - lhs)
         holds = (lhs > lower) & (lhs < rhs)
@@ -646,12 +646,11 @@ def sweep(table: PrimeTable, theorem_id: str, n_from: int, n_to: int, *,
 
     Raises:
         DomainError: unknown id, non-integral or non-finite ends, empty
-            range, n_from < 2, n_from < 4 for the perfecter bound, or more
-            samples than points.
+            range, n_from < 2 (points below a bound's start are evaluated,
+            applicable false), or more samples than points.
         OutOfRangeError: n_to beyond the table limit.
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
-    _check_range(table, n_from, n_to, bound)
     cols = columns(table, (bound.lhs,), n_from, n_to, log_samples=log_samples)
     c = constants or default_constants()
     return (evaluate(table, bound, col, c) for col in cols)
@@ -676,7 +675,7 @@ def evaluate_theorem(table: PrimeTable, theorem_id: str, n: float,
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
     real = bound.lhs in _REAL_LHS
-    _check_range(table, n, n, bound, real=real)
+    _check_range(table, n, n, real=real)
     ns = np.array([n], dtype=None if real else np.int64)
     window = evaluate(table, bound, _points(table, (bound.lhs,), ns),
                       constants or default_constants())

@@ -9,6 +9,8 @@ Python values and are rendered with one %-template per row, ints as %d and
 floats as %.12g, which is fmt byte for byte; scalar lines use fmt.
 verify and scan take their points and verdicts from bounds.columns and
 bounds.evaluate; no bound formula, comparison or start is restated here.
+They run their ranges through _run_range, and keep only their per-chunk
+work and result lines.  Every id refuses --from below 2.
 
 --jobs N splits an exhaustive verify range, or a scan range, into at most N
 contiguous chunks.  This process builds the table and the constants, forks
@@ -41,6 +43,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import ctypes
+import functools
 import gc
 import itertools
 import os
@@ -53,7 +56,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds, perfecter, primes
-from .errors import DomainError, OutOfRangeError, ResourceLimitError, WorkerError, checked
+from .errors import DomainError, OutOfRangeError, ResourceLimitError, WorkerError
 from .upsilon import odd_exponent_blocks, upsilon as upsilon_stats
 from .valuation import decomposition_blocks
 
@@ -102,26 +105,19 @@ def _write_rows(fh, template: str, columns: Sequence[np.ndarray]) -> None:
             *(c[lo:lo + ROW_SLICE].tolist() for c in columns)))))
 
 
-def _sieve_cap(flag_value: int | None) -> int:
-    # a cap below 2 admits no sieve at all: a malformed argument, not a limit
-    if flag_value is not None:
-        source, cap = "--max-sieve", flag_value
-    else:
+def _sieve_limit(needed: int, max_sieve: int | None) -> int:
+    # the sieve cap (--max-sieve, else the environment, else the default),
+    # checked against the request before any work; a cap below 2 admits no
+    # sieve at all: a malformed argument, not a limit
+    source, cap = "--max-sieve", max_sieve
+    if cap is None:
         source, env = MAX_SIEVE_ENV, os.environ.get(MAX_SIEVE_ENV)
-        if env is None:
-            return DEFAULT_MAX_SIEVE
         try:
-            cap = int(env)
+            cap = DEFAULT_MAX_SIEVE if env is None else int(env)
         except ValueError as exc:
             raise DomainError(f"{MAX_SIEVE_ENV} must be an integer, got {env!r}") from exc
     if cap < 2:
         raise DomainError(f"{source} must be >= 2, got {cap}")
-    return cap
-
-
-def _sieve_limit(needed: int, max_sieve: int | None) -> int:
-    # the sieve cap, checked against the request before any work
-    cap = _sieve_cap(max_sieve)
     if needed > cap:
         raise ResourceLimitError(
             f"request needs a sieve up to {needed}, above the cap {cap} "
@@ -255,6 +251,37 @@ def _append(dst: int, src: int) -> None:
         done += os.sendfile(dst, src, done, size - done)
 
 
+class _Unwritable(Exception):
+    """--out could not be opened or written; main exits with EXIT_RESOURCE."""
+
+
+def _run_range(args, kinds: tuple[str, ...], header: str, work, *, step: int = 1,
+               log_samples: int | None = None) -> list:
+    """[work(table, constants, first, last, out) for each chunk of the
+    range], out the open --out or None: the steps verify and scan share.
+    The sieve cap and bounds.columns' checks come first, so a refused
+    request neither opens --out nor sieves."""
+    n_from, n_to = args.n_from, args.n_to
+    _keep_window_buffers(bounds.walk_points(kinds, n_from, n_to, step=step,
+                                            log_samples=log_samples))
+    cap = _sieve_limit(n_to, args.max_sieve)
+    bounds.columns(None, kinds, n_from, n_to, step=step, log_samples=log_samples)
+    chunks = _chunks(n_from, n_to, step, args.jobs if log_samples is None else 1,
+                     MIN_CHUNK_ROWS if args.out else MIN_CHUNK_POINTS)
+    try:
+        with (open(args.out, "w", newline="") if args.out
+              else contextlib.nullcontext()) as fh:
+            table = primes.build_table(n_to, limit_cap=cap)
+            constants = bounds.default_constants()
+            if fh is not None:
+                fh.write(header + "\n")
+            return _in_chunks(chunks, functools.partial(work, table, constants), fh)
+    except OSError as exc:
+        if not args.out:
+            raise
+        raise _Unwritable(f"cannot write {args.out}: {exc}") from None
+
+
 # ---------------------------------------------------------------- decompose
 
 def cmd_decompose(args) -> int:
@@ -318,53 +345,22 @@ def _stream(tid, windows, fh, shown):
 
 
 def cmd_verify(args) -> int:
-    tid = bounds.resolve_theorem_id(args.theorem)
-    n_from, n_to = args.n_from, args.n_to
-    if n_from > n_to:
-        print(f"empty range [{n_from}, {n_to}]", file=sys.stderr)
-        return EXIT_USAGE
-    bound = bounds.BOUNDS[tid]
-    # a perfecter range wholly below its window keeps its ends and checks no point
-    below = bound.lhs == "perfecter" and n_to < bound.start
-    if bound.lhs == "perfecter" and n_from < bound.start:
-        print(f"note: perfecter bounds start at n = {bound.start}; clipping range",
-              file=sys.stderr)
-        n_from = n_from if below else bound.start
-    _keep_window_buffers(bounds.walk_points((bound.lhs,), n_from, n_to,
-                                            log_samples=args.log_samples))
-    cap = _sieve_limit(n_to, args.max_sieve)
-    if not below:
-        # sweep's checks, before --out is opened and the table sieved; a
-        # table built to n_to meets their table limit
-        bounds.columns(None, (bound.lhs,), n_from, n_to, log_samples=args.log_samples)
-    chunks = ([(n_from, n_to)] if args.log_samples is not None or below else
-              _chunks(n_from, n_to, 1, args.jobs,
-                      MIN_CHUNK_ROWS if args.out else MIN_CHUNK_POINTS))
+    bound = bounds.BOUNDS[bounds.resolve_theorem_id(args.theorem)]
 
-    def work(first, last, fh):
+    def work(table, constants, first, last, fh):
         shown: list[tuple] = []
-        windows = () if below else bounds.sweep(
-            table, tid, first, last, log_samples=args.log_samples, constants=constants)
-        return (bounds.summarize_reports(tid, first, last, args.log_samples,
-                                         _stream(tid, windows, fh, shown)), shown)
+        windows = bounds.sweep(table, bound.id, first, last, log_samples=args.log_samples,
+                               constants=constants)
+        return (bounds.summarize_reports(bound.id, first, last, args.log_samples,
+                                         _stream(bound.id, windows, fh, shown)), shown)
 
-    try:
-        with (open(args.out, "w", newline="") if args.out
-              else contextlib.nullcontext()) as fh:
-            table = primes.build_table(max(n_to, 2), limit_cap=cap)
-            constants = bounds.default_constants()
-            if fh is not None:
-                fh.write(CSV_HEADER + "\n")
-            parts = _in_chunks(chunks, work, fh)
-    except OSError as exc:
-        print(f"cannot write report: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    parts = _run_range(args, (bound.lhs,), CSV_HEADER, work, log_samples=args.log_samples)
     summary = bounds.merge_summaries([part for part, _ in parts])
     shown = [v for _, part in parts for v in part][:MAX_SHOWN]
 
     skipped = summary.n_checked - summary.n_applicable
     note = f" ({skipped} below the validity window n >= {bound.start})" if skipped else ""
-    print(f"{tid} [{n_from}..{n_to}] {summary.sampling}: "
+    print(f"{bound.id} [{args.n_from}..{args.n_to}] {summary.sampling}: "
           f"checked {summary.n_checked}{note}")
     if not summary.n_applicable:
         print("no verdict: no point in the validity window")
@@ -481,32 +477,14 @@ def _scan_rows(fh, table, constants, cols) -> None:
 
 
 def cmd_scan(args) -> int:
-    # the range rule of bounds.columns, applied before --out is opened
-    checked("n", args.n_to, checked("n", args.n_from, 2))
-    checked("step", args.step, 1)
-    _keep_window_buffers(bounds.walk_points(_SCAN_KINDS, args.n_from, args.n_to,
-                                            step=args.step))
-    cap = _sieve_limit(args.n_to, args.max_sieve)
-    try:
-        with open(args.out, "w", newline="") as fh:
-            table = primes.build_table(args.n_to, limit_cap=cap)
-            constants = bounds.default_constants()
+    def work(table, constants, first, last, out):
+        rows = 0
+        for cols in bounds.columns(table, _SCAN_KINDS, first, last, step=args.step):
+            _scan_rows(out, table, constants, cols)
+            rows += len(cols.n)
+        return rows
 
-            def work(first, last, out):
-                rows = 0
-                for cols in bounds.columns(table, _SCAN_KINDS, first, last,
-                                           step=args.step):
-                    _scan_rows(out, table, constants, cols)
-                    rows += len(cols.n)
-                return rows
-
-            fh.write(SCAN_HEADER + "\n")
-            chunks = _chunks(args.n_from, args.n_to, args.step, args.jobs,
-                             MIN_CHUNK_ROWS)
-            rows = sum(_in_chunks(chunks, work, fh))
-    except OSError as exc:
-        print(f"cannot write {args.out}: {exc}", file=sys.stderr)
-        return EXIT_RESOURCE
+    rows = sum(_run_range(args, _SCAN_KINDS, SCAN_HEADER, work, step=args.step))
     print(f"wrote {rows} rows to {args.out}")
     return EXIT_OK
 
@@ -570,21 +548,26 @@ def build_parser() -> argparse.ArgumentParser:
     add_max_sieve(p)
     p.set_defaults(func=cmd_decompose)
 
+    def add_range(p):
+        # verify and scan: the range, its split and the sieve cap
+        p.add_argument("--from", dest="n_from", type=int, required=True)
+        p.add_argument("--to", dest="n_to", type=int, required=True)
+        p.add_argument("--jobs", type=_job_count, default=1, metavar="N",
+                       help="split the range into at most N chunks, one process "
+                            "each, where every chunk is long enough to pay for "
+                            "its process (log-spaced samples stay in one); the "
+                            "output is the same at every N")
+        add_max_sieve(p)
+
     p = sub.add_parser("verify", help="check one bound over a range of n")
     p.add_argument("theorem",
                    help="T1 T2 C3 T4 T5 TB2 TB4 PI_LB PI_UB S32 or canonical id")
-    p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
+    add_range(p)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true", default=True)
     mode.add_argument("--log-samples", type=int, default=None, metavar="K",
                       help="check K geometrically spaced points instead")
     p.add_argument("--out", default=None, help="write per-n CSV report here")
-    p.add_argument("--jobs", type=_job_count, default=1, metavar="N",
-                   help="split an exhaustive range into at most N chunks, one "
-                        "process each, where every chunk is long enough to pay "
-                        "for its process; the output is the same at every N")
-    add_max_sieve(p)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("constants", help="recompute the bound constants")
@@ -601,15 +584,9 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_perfecter)
 
     p = sub.add_parser("scan", help="CSV table of per-n statistics")
-    p.add_argument("--from", dest="n_from", type=int, required=True)
-    p.add_argument("--to", dest="n_to", type=int, required=True)
+    add_range(p)
     p.add_argument("--step", type=int, default=1)
     p.add_argument("--out", required=True)
-    p.add_argument("--jobs", type=_job_count, default=1, metavar="N",
-                   help="split the range into at most N chunks, one process "
-                        "each, where every chunk is long enough to pay for its "
-                        "process; the output is the same at every N")
-    add_max_sieve(p)
     p.set_defaults(func=cmd_scan)
     return parser
 
@@ -629,6 +606,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_RESOURCE
     except WorkerError as exc:
         print(f"worker failed: {exc}", file=sys.stderr)
+        return EXIT_RESOURCE
+    except _Unwritable as exc:
+        print(exc, file=sys.stderr)
         return EXIT_RESOURCE
     except (DomainError, OutOfRangeError) as exc:
         print(f"bad request: {exc}", file=sys.stderr)

@@ -157,9 +157,9 @@ def theta_classed(table: PrimeTable, n: int, q: int) -> ThetaClassed:
 
 
 def perfecter_bounds(table: PrimeTable, n: int) -> BoundReport:
-    """The two-sided perfecter bound at n >= 4, in log space: the registry's
+    """The two-sided perfecter bound at n >= 2, in log space: the registry's
     S32_perfecter report, its rhs the upper exponent and its slack the
-    smaller margin (see bounds.perfecter_exponents)."""
+    smaller margin (see bounds.perfecter_exponents); applicable from n = 4."""
     return evaluate_theorem(table, "S32", n)
 
 

@@ -559,11 +559,21 @@ class TestSweepEngine:
             evaluate_theorem(table_small, tid, 1)
 
     def test_perfecter_bound_starts_at_4(self, table_small):
+        # n = 2 and 3 are evaluated, outside the window, like PI_LB below 599
+        ws = list(sweep(table_small, "S32", 2, 100))
+        assert ws[0].n[:3].tolist() == [2, 3, 4]
+        assert ws[0].applicable[:3].tolist() == [False, False, True]
         for lo in (2, 3):
-            with pytest.raises(DomainError):
-                sweep(table_small, "S32", lo, 100)
-            with pytest.raises(DomainError):
-                evaluate_theorem(table_small, "S32", lo)
+            assert not evaluate_theorem(table_small, "S32", lo).applicable
+        with pytest.raises(DomainError):
+            sweep(table_small, "S32", 1, 100)
+
+    def test_perfecter_bound_at_2_is_finite_without_a_warning(self, table_small):
+        # log(n/2) = 0 makes the lower exponent -inf; the warning is off, as
+        # for log log 1 in T1 (the test configuration turns warnings into errors)
+        rep = evaluate_theorem(table_small, "S32", 2)
+        assert rep.lhs == math.log(2)
+        assert math.isfinite(rep.rhs) and math.isfinite(rep.slack)
 
     def test_range_beyond_table(self, table_small):
         with pytest.raises(OutOfRangeError):

@@ -192,20 +192,27 @@ class TestVerify:
         assert lines[1:] == ["no verdict: no point in the validity window"]
         assert "min slack" not in out
 
-    def test_perfecter_range_below_the_window_writes_no_row(self, capsys, tmp_path):
+    def test_perfecter_range_below_the_window_writes_inapplicable_rows(
+            self, capsys, tmp_path, table_small):
+        # n = 2 and 3 are evaluated and reported outside the window, as
+        # PI_LB's points below 599 are
         out_file = tmp_path / "rows.csv"
         code, out, err = run(capsys, "verify", "S32", "--from", "2", "--to", "3",
                              "--out", str(out_file))
-        assert code == 0 and "clipping range" in err
-        assert out.splitlines()[0] == "S32_perfecter [2..3] exhaustive: checked 0"
-        assert out_file.read_text() == CSV_HEADER + "\n"
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "S32_perfecter [2..3] exhaustive: checked 2 (2 below the validity window n >= 4)",
+            "no verdict: no point in the validity window"]
+        text = out_file.read_text()
+        assert text == reference_report(table_small, "S32", [2, 3])
+        assert [row.split(",")[6] for row in text.splitlines()[1:]] == ["false", "false"]
 
     def test_empty_range(self, capsys):
         code, _, _ = run(capsys, "verify", "T1", "--from", "10", "--to", "5")
         assert code == 2
 
     @pytest.mark.parametrize("theorem", ["T1", "T2", "C3", "T4", "T5", "TB2",
-                                         "TB4", "PI_LB", "PI_UB"])
+                                         "TB4", "PI_LB", "PI_UB", "S32"])
     @pytest.mark.parametrize("mode", [[], ["--log-samples", "5"]])
     def test_n_below_2_is_a_bad_request(self, capsys, theorem, mode):
         code, out, err = run(capsys, "verify", theorem, "--from", "1", "--to", "100",
@@ -578,6 +585,30 @@ class TestScan:
             code, _, err = run(capsys, "scan", *argv, "--out", str(out))
             assert (code, err) == (2, f"bad request: {message}\n"), argv
             assert not out.exists(), argv
+
+
+class TestRangeErrors:
+    """verify and scan run their ranges through one function: they refuse
+    a bad range, and an --out they cannot write, with the same line and
+    exit code."""
+
+    @pytest.mark.parametrize("command", [["verify", "T1"], ["scan"]], ids=["verify", "scan"])
+    @pytest.mark.parametrize("n_from,n_to,err", [
+        ("10", "5", "bad request: n must be >= 10, got 5\n"),
+        ("1", "5", "bad request: n must be >= 2, got 1\n")], ids=["empty", "below_2"])
+    def test_bad_range(self, capsys, tmp_path, command, n_from, n_to, err):
+        out = tmp_path / "x.csv"
+        assert run(capsys, *command, "--from", n_from, "--to", n_to,
+                   "--out", str(out)) == (2, "", err)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", [["verify", "T1"], ["scan"]], ids=["verify", "scan"])
+    def test_unwritable_out(self, capsys, tmp_path, command):
+        out = tmp_path / "no_dir" / "x.csv"
+        code, stdout, err = run(capsys, *command, "--from", "2", "--to", "5",
+                                "--out", str(out))
+        assert (code, stdout) == (3, "")
+        assert err.startswith(f"cannot write {out}: ") and err.count("\n") == 1
 
 
 class TestEnvironment:

@@ -158,7 +158,7 @@ REAL_ARGS = {
 RANGE_ARGS = {
     "evaluate_theorem": Arg("evaluate_theorem", "n", lambda t, v: evaluate_theorem(t, "T1", v),
                             10, 1, LIMIT + 1),
-    "perfecter_bounds": Arg("perfecter_bounds", "n", perfecter_bounds, 10, 3, LIMIT + 1),
+    "perfecter_bounds": Arg("perfecter_bounds", "n", perfecter_bounds, 10, 1, LIMIT + 1),
     "verify_range_n_from": Arg("verify_range", "n_from",
                                lambda t, v: verify_range(t, "T1", v, 20), 10, 1),
     "verify_range_n_to": Arg("verify_range", "n_to", lambda t, v: verify_range(t, "T1", 2, v),

@@ -200,7 +200,8 @@ class TestPerfecterBounds:
 
     def test_domain(self, table_small):
         with pytest.raises(DomainError):
-            perfecter_bounds(table_small, 3)
+            perfecter_bounds(table_small, 1)
+        assert not perfecter_bounds(table_small, 3).applicable
 
 
 class TestBertrand:

@@ -2,10 +2,12 @@
 example, rather than ending the run in an INTERNALERROR while reporting it;
 the single-point commands import no numpy module lazily; the program entry,
 and only it, freezes the collector; no file that .gitignore excludes (a
-build or test artifact) is tracked."""
+build or test artifact) is tracked; README's CLI examples still parse."""
 
 import gc
 import os
+import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -84,3 +86,20 @@ def test_main_with_arguments_leaves_the_collector_alone(capsys):
     before = gc.get_freeze_count(), gc.isenabled()
     assert cli.main(["verify", "T1", "--from", "3", "--to", "1000"]) == 0
     assert (gc.get_freeze_count(), gc.isenabled()) == before
+
+
+def test_readme_cli_examples_parse():
+    # every factprimes line of README's sh blocks, through the parser only:
+    # an example that shows a command or flag the CLI no longer has fails
+    from factprimes import cli
+    readme = (PYPROJECT.parent / "README.md").read_text()
+    examples = [shlex.split(line)[1:]
+                for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
+                for line in block.splitlines() if line.startswith("factprimes ")]
+    assert len(examples) >= 5
+    parser = cli.build_parser()
+    for argv in examples:
+        try:
+            parser.parse_args(argv)
+        except SystemExit:
+            pytest.fail(f"README example does not parse: factprimes {shlex.join(argv)}")
