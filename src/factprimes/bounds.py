@@ -26,7 +26,7 @@ slice; ``sweep``, ``verify`` and ``scan`` call both.  Exact left-hand sides
 come from upsilon.factorial_windows over a range, a factor pass per window
 of ``walk_window(n_to)`` points with the running sums carried slice by
 slice, and from upsilon.factorial_points at scattered points; pi reads the
-table, and theta is carried slice by slice in exact log limbs along runs
+table, and theta is carried slice by slice as an exact log total along runs
 and read from the table's log directory at scattered points, at real n
 too.  Pointwise evaluation is a one-point slice and :func:`rhs_value` a
 one-point rhs, so all agree bit for bit.  Memory stays O(slice), beyond
@@ -593,11 +593,11 @@ def _walked(walk: Iterator[Columns], n_from: int, step: int) -> Iterator[Columns
 
 
 def _theta_runs(table: PrimeTable, chunks: Iterator[np.ndarray]) -> Iterator[Columns]:
-    # theta along consecutive chunks of a run of integer points, its limb
-    # totals carried from 0 and from one chunk to the next
-    done, totals = 0, (0, 0)
+    # theta along consecutive chunks of a run of integer points, its exact
+    # total carried from 0 and from one chunk to the next
+    done, total = 0, 0
     for ns in chunks:
-        theta_n, totals = theta_from(table, ns, done, totals)
+        theta_n, total = theta_from(table, ns, done, total)
         done = int(ns[-1])
         yield Columns(ns, None, None, theta=theta_n)
 
@@ -704,29 +704,28 @@ def summarize_reports(theorem_id: str, n_from: int, n_to: int,
     """Reduce sweep slices to a summary, one slice at a time.
 
     Only applicable points count towards the verdict, the minimum slack
-    (the first minimum in ascending n) and the marginal count.
+    (the first minimum in ascending n) and the marginal count.  Each slice
+    gets its own summary, and merge_summaries folds them onto the summary
+    of no point (min slack inf, at n_from).
     """
-    n_checked = n_applicable = marginal_count = 0
-    violations: list[int] = []
-    min_slack, argmin_n = math.inf, n_from
-    found = False
-    for w in windows:
-        idx = np.flatnonzero(w.applicable)
-        n_checked += len(w.n)
-        n_applicable += len(idx)
-        violations += w.n[idx[~w.holds[idx]]].tolist()
-        marginal_count += int(np.count_nonzero(w.marginal[idx]))
-        if len(idx):
-            best = idx[np.argmin(w.slack[idx])]
-            if not found or w.slack[best] < min_slack:
-                min_slack, argmin_n = float(w.slack[best]), int(w.n[best])
-                found = True
     sampling = "exhaustive" if log_samples is None else f"log-spaced({log_samples})"
-    return RangeSummary(
-        theorem_id=theorem_id, n_from=n_from, n_to=n_to, sampling=sampling,
-        n_checked=n_checked, n_applicable=n_applicable,
-        all_hold=not violations, min_slack=min_slack, argmin_n=argmin_n,
-        violations=tuple(violations), marginal_count=marginal_count)
+    zero = RangeSummary(theorem_id=theorem_id, n_from=n_from, n_to=n_to, sampling=sampling,
+                        n_checked=0, n_applicable=0, all_hold=True, min_slack=math.inf,
+                        argmin_n=n_from, violations=(), marginal_count=0)
+    return merge_summaries([zero, *(_slice_summary(zero, w) for w in windows)])
+
+
+def _slice_summary(zero: RangeSummary, w: Window) -> RangeSummary:
+    # the summary of one slice, with the range fields of zero
+    idx = np.flatnonzero(w.applicable)
+    if not len(idx):
+        return zero._replace(n_checked=len(w.n))
+    best = idx[np.argmin(w.slack[idx])]
+    violations = tuple(w.n[idx[~w.holds[idx]]].tolist())
+    return zero._replace(
+        n_checked=len(w.n), n_applicable=len(idx), all_hold=not violations,
+        min_slack=float(w.slack[best]), argmin_n=int(w.n[best]), violations=violations,
+        marginal_count=int(np.count_nonzero(w.marginal[idx])))
 
 
 def merge_summaries(parts: Sequence[RangeSummary]) -> RangeSummary:

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bounds import evaluate_theorem
 from .errors import DomainError, checked
-from .primes import PrimeTable, limb_value, log_totals
+from .primes import PrimeTable, log_totals, log_value
 from .report import BoundReport
 from .upsilon import odd_exponent_blocks
 from .valuation import _odd_exponent_primes, is_prime, valuation_vector
@@ -96,7 +96,7 @@ def squarefree_kernel(factored: Sequence[tuple[int, int]]) -> list[int]:
 
 def _log_sum(ps: np.ndarray) -> float:
     # exactly rounded: math.fsum of the logs, bit for bit
-    return limb_value(log_totals(ps))
+    return log_value(log_totals(ps))
 
 
 def perfecter_factorial(table: PrimeTable, n: int, *,
@@ -106,7 +106,7 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
 
     One pass over the blocks of upsilon.odd_exponent_blocks (the O(sqrt n)
     evaluation, not one exponent per prime) takes the count of the
-    odd-exponent primes and the exact log-limb totals of their logs, so no
+    odd-exponent primes and the exact total of their scaled logs, so no
     array of them is held: log_value is the exactly rounded log-sum,
     math.fsum's value bit for bit.  The same pass multiplies the blocks
     while the log-sum so far says the product fits in exact_max_bits; past
@@ -119,22 +119,19 @@ def perfecter_factorial(table: PrimeTable, n: int, *,
     """
     n = checked("n", n, 1, table=table)
     exact_max_bits = checked("exact_max_bits", exact_max_bits, 0)
-    count = high = low = 0
+    count = total = 0
     exact: int | None = 1
     for ps in odd_exponent_blocks(table, n):
         count += len(ps)
-        h, l = log_totals(ps)
-        high += h
-        low += l
+        total += log_totals(ps)
         # bit length of the product is log/log 2 up to rounding
-        if exact is not None and limb_value((high, low)) / math.log(2) <= exact_max_bits:
+        if exact is not None and log_value(total) / math.log(2) <= exact_max_bits:
             exact *= math.prod(ps.tolist())
         else:
             exact = None
-    log_value = limb_value((high, low))
     if exact is not None and exact.bit_length() > exact_max_bits:
         exact = None
-    return PerfecterResult(n=n, count=count, log_value=log_value,
+    return PerfecterResult(n=n, count=count, log_value=log_value(total),
                            exact_value=exact)
 
 

@@ -10,10 +10,12 @@ theta and pi bounds are records of the bound registry (``bounds.BOUNDS``);
 ``check_dusart_theta`` and ``check_dusart_pi`` return its reports.
 
 Sums of prime logarithms are exact: every theta value is the correctly
-rounded sum of its ``log p`` terms, as ``math.fsum`` would return it (see
-:func:`log_limbs`).  ``theta`` reads the table's small log directory, filled
-on demand, and :func:`theta_from` carries the limb totals along runs of
-points, so the theta bounds' sweeps hold no array over all primes.
+rounded sum of its ``log p`` terms, as ``math.fsum`` would return it.  A
+sum is carried as one Python int, the total of its scaled logs (see
+:func:`log_scaled`), and :func:`log_value` rounds it once.  ``theta`` reads
+the table's small log directory, filled on demand, and :func:`theta_from`
+carries the total along runs of points, so the theta bounds' sweeps hold no
+array over all primes.
 """
 
 from __future__ import annotations
@@ -27,9 +29,10 @@ import numpy as np
 from .errors import OutOfRangeError, ResourceLimitError, checked
 from .report import BoundReport, Record
 
-# Hard cap on the sieve limit.  The table takes 3/32 of a byte a number,
-# about 19 MB at the cap; the first use of primes or log_prefix, which no
-# query reads, adds 8 bytes a prime each (11.1e6 primes at the cap).
+# Default cap on the sieve limit (build_table's limit_cap).  The table
+# takes 3/32 of a byte a number, about 19 MB at 2e8; the first use of
+# primes or log_prefix, which no query reads, adds 8 bytes a prime each
+# (11.1e6 primes at 2e8).
 DEFAULT_LIMIT_CAP = 200_000_000
 
 
@@ -45,11 +48,13 @@ def kahan_sum(values: np.ndarray) -> float:
 
 # Exact sums of prime logarithms.  Every float64 log p with p >= 2 lies in
 # [2^-1, 2^5), so it is an integer multiple of 2^-53 and k = log p * 2^53 is
-# an exact integer below 2^58.  Split as k = a * 2^32 + b with 0 <= a < 2^26
-# and 0 <= b < 2^32, the two limbs add up exactly in int64: the sieve cap
-# 2e8 admits fewer than 2^24 primes, so a limb sum over any set of them stays
-# below 2^50 and 2^56.  Rounding once at the end, as limb_prefix does, gives
-# the correctly rounded sum, which is math.fsum's result bit for bit.
+# an exact integer below 2^58.  A sum of them is carried as one Python int,
+# the total of its k, and rounded once (log_value), which gives math.fsum's
+# result bit for bit.  numpy sums them in two int64 limbs, k = a * 2^32 + b
+# with a < 2^26 and 0 <= b < 2^32, which no run of fewer than 2^31 terms
+# overflows.  The one bound left is limb_prefix's float step: it is exact
+# while start >> 32 stays below 2^53, that is, for totals below 2^85 (theta
+# near 1e9 is about 2^83).
 _LOG_SCALE = 53
 _LIMB_BITS = 32
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
@@ -61,51 +66,47 @@ def log_scaled(logs: np.ndarray) -> np.ndarray:
     return np.ldexp(logs, _LOG_SCALE).astype(np.int64)
 
 
-def log_limbs(logs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The high and low int64 limbs of logs * 2^53, for float64 logs of
-    integers >= 2."""
-    k = log_scaled(logs)
-    return k >> _LIMB_BITS, k & _LIMB_MASK
+def _joined(high, low) -> int:
+    # the Python int of a pair of limbs, high * 2^32 + low
+    return (int(high) << _LIMB_BITS) + int(low)
 
 
-def limb_prefix(scaled: np.ndarray, start: tuple[int, int] = (0, 0)
-                ) -> tuple[np.ndarray, tuple[int, int]]:
+def limb_prefix(scaled: np.ndarray, start: int = 0) -> tuple[np.ndarray, int]:
     """Correctly rounded prefix sums of a run of int64 scaled logs (of
-    log_scaled, or signed sums of them), added to the limb totals start, and
-    the new totals to continue from, carried so that their low limb is below
-    2^32 however long the runs go on."""
-    high = start[0] + np.cumsum(scaled >> _LIMB_BITS)
-    low = start[1] + np.cumsum(scaled & _LIMB_MASK)
+    log_scaled, or signed sums of them), added to the total start, and the
+    new total to continue from."""
+    high = np.cumsum(scaled >> _LIMB_BITS)
+    high += start >> _LIMB_BITS
+    low = np.cumsum(scaled & _LIMB_MASK)
+    low += start & _LIMB_MASK
     high += low >> _LIMB_BITS
     low &= _LIMB_MASK
-    totals = (int(high[-1]), int(low[-1]))
     exact = high * float(1 << _LIMB_BITS) + low  # exact, then one rounding
-    return np.ldexp(exact, -_LOG_SCALE), totals
+    return np.ldexp(exact, -_LOG_SCALE), _joined(high[-1], low[-1])
 
 
-def limb_value(totals: tuple[int, int]) -> float:
-    """The correctly rounded value of limb totals, as limb_prefix rounds
-    its prefixes."""
-    return math.ldexp(float((totals[0] << _LIMB_BITS) + totals[1]), -_LOG_SCALE)
+def log_value(total: int) -> float:
+    """The correctly rounded value of a total of scaled logs, as
+    limb_prefix rounds its prefixes."""
+    return math.ldexp(float(total), -_LOG_SCALE)
 
 
-def log_totals(values: np.ndarray) -> tuple[int, int]:
-    """The limb totals of the logs of the integers values >= 2, which
-    limb_value rounds to math.fsum of those logs; block by block, so the
+def log_totals(values: np.ndarray) -> int:
+    """The total of the scaled logs of the integers values >= 2, which
+    log_value rounds to math.fsum of those logs; block by block, so the
     temporaries do not grow with len(values)."""
-    high = low = 0
+    total = 0
     for i in range(0, len(values), _PREFIX_BLOCK):
-        limbs = log_limbs(np.log(values[i:i + _PREFIX_BLOCK].astype(np.float64)))
-        high += int(limbs[0].sum())
-        low += int(limbs[1].sum())
-    return high, low
+        k = log_scaled(np.log(values[i:i + _PREFIX_BLOCK].astype(np.float64)))
+        total += _joined((k >> _LIMB_BITS).sum(), (k & _LIMB_MASK).sum())
+    return total
 
 
 def _kahan_prefix(table: PrimeTable) -> np.ndarray:
     """Prefix sums of the logarithms of the table's primes, each one
     correctly rounded: theta at every prime, so ``out[i]`` equals
     ``math.fsum(log(primes[:i + 1]))``."""
-    return theta_from(table, table.primes_in(0, table.limit), 0, (0, 0))[0]
+    return theta_from(table, table.primes_in(0, table.limit), 0, 0)[0]
 
 
 # Odd numbers per sieve segment, and per unpacked block of primes_in: a
@@ -130,7 +131,7 @@ class PrimeTable(Record):
     package's own queries read neither.  Two threads that read a cached
     array first at the same time may both compute it, with the same result.
     ``log_totals_in`` sums the logs of a value range while unpacking only
-    its two ends, through a directory of the exact log-limb totals at every
+    its two ends, through a directory of the exact totals at every
     _LOG_STEP values (about limit/512 bytes), filled on demand up to the
     largest value asked for.  The table keeps a ``__dict__`` for these
     caches; its fields are read-only.
@@ -144,7 +145,7 @@ class PrimeTable(Record):
         size = limit // _LOG_STEP + 1
         super().__init__(limit=limit, bits=bits, rank=rank,
                          _log_directory=(np.zeros(size, np.int64), np.zeros(size, np.int64)),
-                         _log_done=(0, 0, 0))
+                         _log_done=(0, 0))
 
     @functools.cached_property
     def primes(self) -> np.ndarray:
@@ -158,41 +159,39 @@ class PrimeTable(Record):
         prefix.setflags(write=False)
         return prefix
 
-    def _log_entry(self, k: int) -> tuple[int, int]:
-        # Entry k of the log directory: the limb totals of the primes
-        # <= k * _LOG_STEP.  Entries are filled a value block at a time, up
-        # to the largest asked for; _log_done holds the values done and the
-        # running totals there, one tuple replaced whole, so threads that
-        # fill at once write the same entries and read consistent totals.
+    def _log_entry(self, k: int) -> int:
+        # Entry k of the log directory: the total of the scaled logs of the
+        # primes <= k * _LOG_STEP, kept as high and low int64 limbs.  Entries
+        # are filled a value block at a time, up to the largest asked for;
+        # _log_done holds the values done and the running total there, one
+        # tuple replaced whole, so threads that fill at once write the same
+        # entries and read consistent totals.
         high, low = self._log_directory
-        done, *running = self._log_done
+        done, running = self._log_done
         while done < k * _LOG_STEP:
             hi = min(done + _VALUE_BLOCK, self.limit)
             ps = self.primes_in(done, hi)
             marks = np.arange(done + _LOG_STEP, hi + 1, _LOG_STEP)
             at = np.searchsorted(ps, marks, side="right")
-            limbs = log_limbs(np.log(ps.astype(np.float64)))
-            for i, entries in enumerate((high, low)):
-                sums = np.cumsum(np.concatenate(([running[i]], limbs[i])))
-                entries[marks // _LOG_STEP] = sums[at]
-                running[i] = int(sums[-1])
+            scaled = log_scaled(np.log(ps.astype(np.float64)))
+            sums = [np.cumsum(np.concatenate(([first], part))) for first, part in (
+                (running >> _LIMB_BITS, scaled >> _LIMB_BITS),
+                (running & _LIMB_MASK, scaled & _LIMB_MASK))]
+            high[marks // _LOG_STEP], low[marks // _LOG_STEP] = sums[0][at], sums[1][at]
+            running = _joined(sums[0][-1], sums[1][-1])
             done = hi
-            vars(self)["_log_done"] = (done, *running)
-        return int(high[k]), int(low[k])
+            vars(self)["_log_done"] = (done, running)
+        return _joined(high[k], low[k])
 
-    def log_totals_in(self, lo: int, hi: int) -> tuple[int, int]:
-        """The exact log-limb totals of the primes p with lo < p <= hi
-        (0 <= lo <= hi <= limit), which limb_value rounds to math.fsum of
+    def log_totals_in(self, lo: int, hi: int) -> int:
+        """The total of the scaled logs of the primes p with lo < p <= hi
+        (0 <= lo <= hi <= limit), which log_value rounds to math.fsum of
         their logs: two directory reads, and the primes of at most
         _LOG_STEP values unpacked at each end."""
-        high = low = 0
-        for x, sign in ((hi, 1), (lo, -1)):
-            k = x // _LOG_STEP
-            h, l = log_totals(self.primes_in(k * _LOG_STEP, x))
-            dh, dl = self._log_entry(k)
-            high += sign * (dh + h)
-            low += sign * (dl + l)
-        return high, low
+        upper, lower = (self._log_entry(x // _LOG_STEP)
+                        + log_totals(self.primes_in(x - x % _LOG_STEP, x))
+                        for x in (hi, lo))
+        return upper - lower
 
     def __len__(self) -> int:
         return self._pi(self.limit)
@@ -362,16 +361,16 @@ def theta(table: PrimeTable, x: float) -> float:
         OutOfRangeError: x beyond the table limit.
     """
     x = checked("x", x, 0, table=table, real=True)
-    return limb_value(table.log_totals_in(0, math.floor(x)))
+    return log_value(table.log_totals_in(0, math.floor(x)))
 
 
-def theta_from(table: PrimeTable, ns: np.ndarray, done: int, totals: tuple[int, int]
-               ) -> tuple[np.ndarray, tuple[int, int]]:
+def theta_from(table: PrimeTable, ns: np.ndarray, done: int, total: int
+               ) -> tuple[np.ndarray, int]:
     """theta at the ascending integer points ns, all in (done, table.limit],
-    from the limb totals of the primes up to done; returned with the limb
-    totals of the primes up to ns[-1].  The primes in between are unpacked
-    _VALUE_BLOCK values at a time, and each point takes the correctly
-    rounded total of those at or below it, as theta gives it."""
+    from the total of the scaled logs of the primes up to done; returned
+    with the total of those up to ns[-1].  The primes in between are
+    unpacked _VALUE_BLOCK values at a time, and each point takes the
+    correctly rounded total of those at or below it, as theta gives it."""
     out = np.empty(len(ns))
     last = int(ns[-1])
     for a in range(done, last, _VALUE_BLOCK):
@@ -379,14 +378,14 @@ def theta_from(table: PrimeTable, ns: np.ndarray, done: int, totals: tuple[int, 
         i, j = np.searchsorted(ns, (a, b), side="right")  # the points in (a, b]
         ps = table.primes_in(a, b)
         if len(ps):
-            prefix, after = limb_prefix(log_scaled(np.log(ps.astype(np.float64))), totals)
+            prefix, after = limb_prefix(log_scaled(np.log(ps.astype(np.float64))), total)
             # each prime counts from the first point at or above it on
             cuts = np.concatenate(([0], np.searchsorted(ns[i:j], ps), [j - i]))
-            out[i:j] = np.repeat(np.concatenate(([limb_value(totals)], prefix)), np.diff(cuts))
-            totals = after
+            out[i:j] = np.repeat(np.concatenate(([log_value(total)], prefix)), np.diff(cuts))
+            total = after
         else:
-            out[i:j] = limb_value(totals)
-    return out, totals
+            out[i:j] = log_value(total)
+    return out, total
 
 
 def nth_prime(table: PrimeTable, k: int) -> int:

@@ -37,7 +37,7 @@ from typing import TYPE_CHECKING, Iterator, NamedTuple
 import numpy as np
 
 from .errors import DomainError, FactprimesError, OutOfRangeError, checked
-from .primes import (PrimeTable, limb_prefix, limb_value, log_scaled, log_totals,
+from .primes import (PrimeTable, limb_prefix, log_scaled, log_totals, log_value,
                      nth_prime, pi, prime_blocks)
 from .special_functions import lambert_w
 from .valuation import _legendre_exponents, valuation_vector
@@ -237,10 +237,11 @@ def factorial_windows(table: PrimeTable, n_from: int, n_to: int, window: int,
     changes from that of (n-1)! in the primes dividing n to an odd power.
     Both come from one strided factor pass per window, and the running sums
     are carried over it piece by piece, so no column is built window-long.
-    With perfecter the log-sum over the odd-exponent set is carried in exact
-    limbs (see primes.log_scaled), so every value is math.fsum over the same
-    logs, bit for bit.  With count, pi(n) is carried too: it grows by one
-    where Omega(n) == 1.  The arguments are checked when this is called.
+    With perfecter the log-sum over the odd-exponent set is carried as an
+    exact total (see primes.log_scaled), so every value is math.fsum over
+    the same logs, bit for bit.  With count, pi(n) is carried too: it grows
+    by one where Omega(n) == 1.  The arguments are checked when this is
+    called.
 
     Raises:
         DomainError: an argument not an integer, n_from < 2, an empty
@@ -265,9 +266,9 @@ _RUN_SPAN = 1 << 14
 def _anchor(table: PrimeTable, n: int, perfecter: bool = False):
     """The O(sqrt n) evaluation at 1 <= n <= table.limit (see the module
     docstring): upsilon(n), the exponent parities of the primes p <= isqrt(n),
-    pi(n) and, with perfecter, the log-limb totals of the primes with an odd
-    exponent in n!; the runs of those come from PrimeTable.log_totals_in, so
-    no array of them is held."""
+    pi(n) and, with perfecter, the total of the scaled logs of the primes
+    with an odd exponent in n!; the runs of those come from
+    PrimeTable.log_totals_in, so no array of them is held."""
     r = math.isqrt(n)
     small = table.primes_up_to(r)
     v = _legendre_exponents(small, n)
@@ -276,12 +277,11 @@ def _anchor(table: PrimeTable, n: int, perfecter: bool = False):
     ups = int(v.sum()) + int(pis.sum()) - q_max * len(small)
     parity = v & 1
     pi_n = int(pis[0]) if q_max else 0
-    totals = None
+    total = None
     if perfecter:
-        parts = [log_totals(ps) for ps in _odd_exponent_blocks(table, n, small, parity)]
-        parts += [table.log_totals_in(lo, hi) for lo, hi in _odd_runs(n)[1]]
-        totals = tuple(map(sum, zip(*parts)))
-    return ups, parity, pi_n, totals
+        total = (sum(map(log_totals, _odd_exponent_blocks(table, n, small, parity)))
+                 + sum(table.log_totals_in(lo, hi) for lo, hi in _odd_runs(n)[1]))
+    return ups, parity, pi_n, total
 
 
 def _odd_runs(n: int) -> tuple[int, list[tuple[int, int]]]:
@@ -353,9 +353,9 @@ def factorial_points(table: PrimeTable, ns: np.ndarray, *,
     logs = np.empty(len(ns)) if perfecter else None
     pis = np.empty(len(ns), dtype=np.int32) if count else None
     for i, n in enumerate(ns.tolist()):
-        ups[i], _, pi_n, totals = _anchor(table, n, perfecter)
+        ups[i], _, pi_n, total = _anchor(table, n, perfecter)
         if perfecter:
-            logs[i] = limb_value(totals)
+            logs[i] = log_value(total)
         if count:
             pis[i] = pi_n
     return Columns(ns, ups, logs, pis)
@@ -363,7 +363,7 @@ def factorial_points(table: PrimeTable, ns: np.ndarray, *,
 
 def _walk(table, n_from, n_to, window, piece, perfecter, count):
     root = math.isqrt(n_to)
-    ups_run, parity, pi_run, totals = _anchor(table, n_from - 1, perfecter)
+    ups_run, parity, pi_run, total = _anchor(table, n_from - 1, perfecter)
     odd = scaled = None
     if perfecter:
         small = table.primes_up_to(root)
@@ -381,7 +381,7 @@ def _walk(table, n_from, n_to, window, piece, perfecter, count):
             ups_run = int(ups[-1])
             logs = pis = None
             if perfecter:
-                logs, totals = limb_prefix(deltas[a:b], totals)
+                logs, total = limb_prefix(deltas[a:b], total)
             if count:
                 pis = np.cumsum(omega[a:b] == 1, dtype=np.int32)
                 pis += pi_run

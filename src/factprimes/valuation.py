@@ -259,12 +259,8 @@ def _legendre_exponents(ps: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
-def _odd_exponent_primes(table: PrimeTable, n: int,
-                         v: np.ndarray | None = None) -> np.ndarray:
-    # primes p <= n with v_p(n!) odd; v is valuation_vector(table, n) when
-    # the caller already holds it
-    if v is None:
-        v = valuation_vector(table, n)
+def _odd_exponent_primes(table: PrimeTable, n: int, v: np.ndarray) -> np.ndarray:
+    # primes p <= n with v_p(n!) odd, from v = valuation_vector(table, n)
     return table.primes_up_to(n)[(v & 1) == 1]
 
 

@@ -549,6 +549,14 @@ class TestSweepEngine:
         assert reports == pointwise
         assert summary == reduce_pointwise(tid, lo, hi, summary.sampling, pointwise)
 
+    @pytest.mark.parametrize("log_samples", [None, 40])
+    def test_summary_of_no_slice(self, log_samples):
+        summary = bounds.summarize_reports("T1", 7, 90, log_samples, iter(()))
+        assert summary == RangeSummary(
+            "T1", 7, 90, "exhaustive" if log_samples is None else "log-spaced(40)",
+            n_checked=0, n_applicable=0, all_hold=True, min_slack=math.inf,
+            argmin_n=7, violations=(), marginal_count=0)
+
     @pytest.mark.parametrize("tid", ALL_IDS)
     def test_rejects_n_below_2(self, tid, table_small):
         with pytest.raises(DomainError):

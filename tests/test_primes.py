@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from factprimes import (DomainError, OutOfRangeError, ResourceLimitError, bounds
                         build_table, check_dusart_pi, check_dusart_theta,
                         evaluate_theorem, nth_prime, pi, primes, theta,
                         theta_classed)
-from factprimes.primes import limb_prefix, log_limbs, log_scaled
+from factprimes.primes import limb_prefix, log_scaled, theta_from
 
 
 def limb_sum(logs):
@@ -79,10 +80,38 @@ class TestExactLogSums:
         # a compensated loop loses the 1.0 here; math.fsum keeps it
         assert primes.kahan_sum(np.array([1e16, 1.0, -1e16])) == 1.0
 
-    def test_limbs_are_exact(self, table_small):
+    def test_scaled_logs_are_exact(self, table_small):
         logs = np.log(table_small.primes.astype(np.float64))
-        high, low = log_limbs(logs)
-        assert np.array_equal(np.ldexp(high * 2.0**32 + low, -53), logs)
+        assert all(Fraction(k, 2**53) == Fraction(x)
+                   for k, x in zip(log_scaled(logs).tolist(), logs.tolist()))
+
+    def test_totals_carry_beyond_int64(self, table_small):
+        # continued from a total of the size of theta's near the sieve cap
+        # (about 2^80 scaled), chunk by chunk: the prefixes against
+        # math.fsum, the totals against Python-int arithmetic
+        head = [2.0**27, math.log(3), math.log(10**6 + 3)]  # multiples of 2^-53
+        start = sum(int(Fraction(x) * 2**53) for x in head)
+        assert start >= 1 << 80
+        ps = table_small.primes_in(0, table_small.limit)
+        logs = np.log(ps.astype(np.float64))
+        scaled = log_scaled(logs)
+        expected = [math.fsum(head + logs[:i + 1].tolist()) for i in range(len(logs))]
+        prefix, total = [], start
+        for a in range(0, len(ps), 300):
+            values, after = limb_prefix(scaled[a:a + 300], total)
+            assert after == total + sum(scaled[a:a + 300].tolist())
+            prefix += values.tolist()
+            total = after
+        assert prefix == expected
+        ns = np.arange(2, table_small.limit + 1)
+        thetas, total, done = [], start, 0
+        for a in range(0, len(ns), 777):
+            chunk = ns[a:a + 777]
+            values, total = theta_from(table_small, chunk, done, total)
+            thetas += values.tolist()
+            done = int(chunk[-1])
+        assert total == start + sum(scaled.tolist())
+        assert thetas == [expected[k - 1] for k in np.searchsorted(ps, ns, side="right")]
 
 
 class TestQueries:
@@ -317,7 +346,7 @@ class TestBitTable:
         hi = data.draw(st.integers(lo, limit), label="hi")
         ps = table.primes_in(lo, hi)
         assert table.log_totals_in(lo, hi) == primes.log_totals(ps)
-        assert (primes.limb_value(table.log_totals_in(lo, hi))
+        assert (primes.log_value(table.log_totals_in(lo, hi))
                 == math.fsum(np.log(ps.astype(np.float64)).tolist()))
         assert "primes" not in vars(table)
 

@@ -2,9 +2,12 @@
 example, rather than ending the run in an INTERNALERROR while reporting it;
 the single-point commands import no numpy module lazily; the program entry,
 and only it, freezes the collector; no file that .gitignore excludes (a
-build or test artifact) is tracked; README's CLI examples still parse."""
+build or test artifact) is tracked; README's CLI examples still parse, and
+its library example runs to the values its comments state."""
 
+import ast
 import gc
+import math
 import os
 import re
 import shlex
@@ -103,3 +106,22 @@ def test_readme_cli_examples_parse():
             parser.parse_args(argv)
         except SystemExit:
             pytest.fail(f"README example does not parse: factprimes {shlex.join(argv)}")
+
+
+def test_readme_library_example_runs():
+    # the python block under "## Library", one statement at a time, keeping
+    # the value of each expression by its source text
+    readme = (PYPROJECT.parent / "README.md").read_text()
+    block = re.search(r"## Library\n\n```python\n(.*?)```", readme, re.S).group(1)
+    scope, values = {}, {}
+    for node in ast.parse(block).body:
+        if isinstance(node, ast.Expr):
+            code = compile(ast.Expression(node.value), "README.md", "eval")
+            values[ast.get_source_segment(block, node)] = eval(code, scope)
+        else:
+            exec(compile(ast.Module([node], []), "README.md", "exec"), scope)
+    assert repr(values["fp.legendre_valuation(10, 2)"]) == "Valuation(p=2, n=10, v=8, m=3)"
+    assert repr(values["fp.odd_exponent_primes(table, 5)"]) == "array([2, 3, 5])"
+    perfecter = values["fp.perfecter_factorial(table, 5)"]
+    assert (perfecter.count, perfecter.exact_value) == (3, 30)
+    assert math.isclose(perfecter.log_value, math.log(30))

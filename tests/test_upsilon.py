@@ -155,12 +155,12 @@ class TestFactorialPoints:
 def check_point(table, n):
     """The O(sqrt n) evaluation at n against one exponent per prime."""
     v = valuation_vector(table, n)
-    ups, parity, pi_n, totals = _anchor(table, n, perfecter=True)
+    ups, parity, pi_n, total = _anchor(table, n, perfecter=True)
     assert ups == int(v.sum()) == upsilon_value(table, n), n
     assert pi_n == len(v) == pi(table, n), n
     assert parity.tolist() == (v[:pi(table, math.isqrt(n))] & 1).tolist(), n
     odd = _odd_exponent_primes(table, n, v)
-    assert totals == log_totals(odd), n
+    assert total == log_totals(odd), n
     res = perfecter_factorial(table, n)
     assert odd_exponent_primes(table, n).tolist() == odd.tolist(), n
     assert res.count == len(odd), n
@@ -185,8 +185,8 @@ class TestSqrtEvaluation:
         check_point(table_big, table_big.limit)
 
     def test_at_one(self, table_small):
-        ups, parity, pi_n, totals = _anchor(table_small, 1, perfecter=True)
-        assert (ups, len(parity), pi_n, totals) == (0, 0, 0, (0, 0))
+        ups, parity, pi_n, total = _anchor(table_small, 1, perfecter=True)
+        assert (ups, len(parity), pi_n, total) == (0, 0, 0, 0)
 
     @pytest.mark.parametrize("n_from,n_to", [
         (100, 400),                    # primes 11..19 above isqrt(99) = 9
