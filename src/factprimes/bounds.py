@@ -501,7 +501,10 @@ class Window(NamedTuple):
 
 def _check_range(table: PrimeTable, n_from, n_to, *, real: bool = False) -> None:
     # an integral float is an integer n here: sweep ranges accept 1e6
-    checked("n", n_to, checked("n", n_from, 2, real=True), table=table, real=True)
+    checked("n", n_from, 2, real=True)
+    if checked("n", n_to, real=True) < n_from:
+        raise DomainError(f"n_to={n_to} is below n_from={n_from}")
+    checked("n", n_to, table=table, real=True)
     for n in (n_from, n_to):
         if not (real or n == int(n)):
             raise DomainError(f"n must be an integer, got {n}")

@@ -4,9 +4,11 @@ Commands: decompose, verify, constants, perfecter, scan.  All numeric
 output is rendered with fixed 12-significant-digit formatting and '.' as
 the decimal point, so identical invocations produce byte-identical output
 regardless of locale or platform.  Per-n rows (verify --out, scan,
-decompose) go through one row writer: ROW_SLICE rows at a time become
-Python values and are rendered with one %-template per row, ints as %d and
-floats as %.12g, which is fmt byte for byte; scalar lines use fmt.
+decompose) go through one row writer, _write_rows: a %-template, its
+fields %d, %Nd, %.12g and %s, is rendered in numpy ROW_SLICE rows at a
+time by the rows module, which this module imports only once a run is to
+write rows; the text is template % row byte for byte, and %.12g is fmt
+byte for byte.  Scalar lines use fmt.
 verify and scan take their points and verdicts from bounds.columns and
 bounds.evaluate; no bound formula, comparison or start is restated here.
 They run their ranges through _run_range, and keep only their per-chunk
@@ -78,13 +80,15 @@ def fmt(x) -> str:
     return f"{float(x):.12g}"
 
 
-# Rows turned into Python values at a time: the writer's memory is
-# O(ROW_SLICE), whatever the length of the columns it is given.  Larger
-# slices format no faster and hold more text at once.
+# Rows rendered at a time: the writer's memory is O(ROW_SLICE), whatever
+# the length of the columns it is given.  Larger slices render faster but
+# hold more at once: on a 2-vCPU x86-64 host a verify --out row took
+# 0.33-0.35 us to render at 1024 rows and 0.28-0.32 us at 2048, whose
+# 50k-point run peaked 0.5 MB higher.
 ROW_SLICE = 1024
 
-# bool cells by index, as fmt renders them
-_BOOL = np.array([fmt(False), fmt(True)], dtype=object)
+# bool cells by index, as fmt renders them, NUL-padded to whole words
+_BOOL = np.array([fmt(False), fmt(True)], dtype="S8")
 
 
 def _bool_cells(mask: np.ndarray) -> np.ndarray:
@@ -94,15 +98,15 @@ def _bool_cells(mask: np.ndarray) -> np.ndarray:
 def _write_rows(fh, template: str, columns: Sequence[np.ndarray]) -> None:
     """Write template % row for every row of the aligned numpy columns.
 
-    Int columns go to %d, float columns to %.12g (for Python floats that is
-    fmt byte for byte, inf, nan and -0.0 included) and string columns,
-    prerendered cells, to %s.  Each slice of ROW_SLICE rows is converted
-    with .tolist() once and written with one write call (an unbuffered
-    stdout turns every write into a system call).
+    Int columns go to %d and %Nd, int or float columns to %.12g (fmt byte
+    for byte, inf, nan and -0.0 included) and fixed-width bytes columns
+    (numpy "S") to %s.  Each slice of ROW_SLICE rows is one string from
+    rows.render, written with one write call (an unbuffered stdout turns
+    every write into a system call).
     """
+    from .rows import render
     for lo in range(0, len(columns[0]), ROW_SLICE):
-        fh.write("".join(map(template.__mod__, zip(
-            *(c[lo:lo + ROW_SLICE].tolist() for c in columns)))))
+        fh.write(render(template, [c[lo:lo + ROW_SLICE] for c in columns]))
 
 
 def _sieve_limit(needed: int, max_sieve: int | None) -> int:
@@ -133,12 +137,13 @@ def _build_table(needed: int, max_sieve: int | None) -> primes.PrimeTable:
 
 # A range is split only where every chunk pays back its fork several times
 # over.  On a 2-vCPU x86-64 host a fork round trip (fork, os._exit, waitpid)
-# of a process holding the package and a table took 1.6-2.5 ms, a swept
-# point 0.05-0.16 us with no row written, and a written row 1.4-2.0 us:
-# 2^17 points are 7-21 ms of work, and 2^13 rows 11-16 ms.  At those chunk
-# sizes --jobs 2 measured even with --jobs 1 end to end, and faster above.
+# of a process holding the package and a table took 2.1-2.8 ms, a swept
+# point 0.05-0.16 us with no row written, and a point with its row written
+# 0.56-0.67 us: 2^17 points are 7-21 ms of work, and 2^14 rows 9-11 ms.  At
+# those chunk sizes --jobs 2 measured even with --jobs 1 end to end, and
+# faster above.
 MIN_CHUNK_POINTS = 1 << 17
-MIN_CHUNK_ROWS = 1 << 13
+MIN_CHUNK_ROWS = 1 << 14
 
 # Workers need os.fork, and appending their rows needs an os.sendfile that
 # copies from file to file: Linux has both.
@@ -271,6 +276,11 @@ def _run_range(args, kinds: tuple[str, ...], header: str, work, *, step: int = 1
     try:
         with (open(args.out, "w", newline="") if args.out
               else contextlib.nullcontext()) as fh:
+            if fh is not None:
+                # the row writer's module, compiled before the table is
+                # built, so that its compile transient is not stacked on
+                # the table in the run's peak RSS (0.1 MB lower on T2 to 5e4)
+                from . import rows  # noqa: F401
             table = primes.build_table(n_to, limit_cap=cap)
             constants = bounds.default_constants()
             if fh is not None:
@@ -328,7 +338,7 @@ CSV_HEADER = "theorem_id,n,lhs,rhs,slack,holds,applicable,marginal"
 
 # the holds,applicable,marginal cells, indexed by 4*holds + 2*applicable + marginal
 _FLAGS = np.array([f"{fmt(bool(c & 4))},{fmt(bool(c & 2))},{fmt(bool(c & 1))}"
-                   for c in range(8)], dtype=object)
+                   for c in range(8)], dtype="S20")
 
 
 def _stream(tid, windows, fh, shown):

@@ -587,6 +587,13 @@ class TestSweepEngine:
         with pytest.raises(OutOfRangeError):
             sweep(table_small, "TB2", 2, table_small.limit + 1)
 
+    @pytest.mark.parametrize("log_samples", [None, 5])
+    def test_inverted_range_names_both_ends(self, table_small, log_samples):
+        # refused before the table's limit is looked at
+        for n_to in (5, table_small.limit + 1):
+            with pytest.raises(DomainError, match=f"^n_to={n_to} is below n_from=10000000$"):
+                sweep(table_small, "T1", 10**7, n_to, log_samples=log_samples)
+
     @pytest.mark.parametrize("tid", ["T1", "T2", "C3", "T4", "T5", "TB2", "TB4",
                                      "PI_LB", "PI_UB", "S32"])
     def test_scalar_rhs_is_the_sweep_rhs(self, tid, table_small):

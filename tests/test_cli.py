@@ -580,7 +580,7 @@ class TestScan:
         out = tmp_path / "refused.csv"
         for argv, message in [
                 (("--from", "1", "--to", "10"), "n must be >= 2, got 1"),
-                (("--from", "10", "--to", "9"), "n must be >= 10, got 9"),
+                (("--from", "10", "--to", "9"), "n_to=9 is below n_from=10"),
                 (("--from", "2", "--to", "10", "--step", "0"), "step must be >= 1, got 0")]:
             code, _, err = run(capsys, "scan", *argv, "--out", str(out))
             assert (code, err) == (2, f"bad request: {message}\n"), argv
@@ -594,7 +594,7 @@ class TestRangeErrors:
 
     @pytest.mark.parametrize("command", [["verify", "T1"], ["scan"]], ids=["verify", "scan"])
     @pytest.mark.parametrize("n_from,n_to,err", [
-        ("10", "5", "bad request: n must be >= 10, got 5\n"),
+        ("10", "5", "bad request: n_to=5 is below n_from=10\n"),
         ("1", "5", "bad request: n must be >= 2, got 1\n")], ids=["empty", "below_2"])
     def test_bad_range(self, capsys, tmp_path, command, n_from, n_to, err):
         out = tmp_path / "x.csv"

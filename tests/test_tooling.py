@@ -1,6 +1,7 @@
 """The pytest configuration shows a failing property test's falsifying
 example, rather than ending the run in an INTERNALERROR while reporting it;
-the single-point commands import no numpy module lazily; the program entry,
+the single-point commands import no numpy module lazily, and only a run
+that writes rows imports the row writer; the program entry,
 and only it, freezes the collector; no file that .gitignore excludes (a
 build or test artifact) is tracked; README's CLI examples still parse, and
 its library example runs to the values its comments state."""
@@ -64,6 +65,26 @@ def test_single_point_commands_load_no_numpy_ma(tmp_path):
                          capture_output=True, text=True, timeout=120)
     assert run.returncode == 0, run.stderr
     assert run.stdout.splitlines()[-1] == "False"
+
+
+def test_only_writing_rows_loads_the_row_writer(tmp_path):
+    # neither the package nor the CLI module imports factprimes.rows, nor
+    # does a verify without --out; checked in a fresh process
+    probe = (
+        "import sys\n"
+        "import factprimes, factprimes.cli\n"
+        "loaded = ['factprimes.rows' in sys.modules]\n"
+        "assert factprimes.cli.main(['verify', 'T2', '--from', '3', '--to', '3000']) == 0\n"
+        "loaded.append('factprimes.rows' in sys.modules)\n"
+        "assert factprimes.cli.main(['verify', 'T2', '--from', '3', '--to', '3000',\n"
+        "                            '--out', 'rows.csv']) == 0\n"
+        "loaded.append('factprimes.rows' in sys.modules)\n"
+        "print(loaded)\n")
+    env = dict(os.environ, PYTHONPATH=str(PYPROJECT.parent / "src"))
+    run = subprocess.run([sys.executable, "-c", probe], cwd=tmp_path, env=env,
+                         capture_output=True, text=True, timeout=120)
+    assert run.returncode == 0, run.stderr
+    assert run.stdout.splitlines()[-1] == "[False, False, True]"
 
 
 @pytest.mark.parametrize("entry", [
