@@ -23,8 +23,7 @@ from .special_functions import (QuadratureSpec, exp_integral, integrate,
                                 log_integral_expansion)
 from .upsilon import (MeanLocation, UpsilonResult, lambert_w_index,
                       mean_location, mean_vs_Lth_prime, odd_exponent_primes,
-                      upsilon, upsilon_asymptotic_gap, upsilon_range,
-                      upsilon_value)
+                      upsilon, upsilon_range, upsilon_value)
 from .valuation import (Valuation, ValuationProfile, digit_sum,
                         factorial_valuation_oracle, full_decomposition,
                         is_prime, legendre_valuation, omega, valuation_vector)

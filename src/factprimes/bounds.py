@@ -267,7 +267,8 @@ def compute_constants(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ConstantsTab
 
 @lru_cache(maxsize=1)
 def default_constants() -> ConstantsTable:
-    """Constants recomputed once with the default quadrature budget."""
+    """Constants recomputed once with the default quadrature budget: the
+    one table every right-hand side reads (evaluate and rhs_value call it)."""
     return compute_constants()
 
 
@@ -433,8 +434,7 @@ def resolve_theorem_id(theorem_id: str) -> str:
     return tid
 
 
-def rhs_value(theorem_id: str, n: float,
-              constants: ConstantsTable | None = None) -> float:
+def rhs_value(theorem_id: str, n: float) -> float:
     """The right-hand side of one bound at one finite real n >= 2, bit for
     bit the rhs that evaluate_theorem and sweep report (a one-point array).
 
@@ -445,11 +445,11 @@ def rhs_value(theorem_id: str, n: float,
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
     n = checked("n", n, 2, real=True)
-    c = constants or default_constants()
     # trapped here only, so sweeps pay nothing for it
     with np.errstate(over="raise", invalid="raise"):
         try:
-            return float(bound.rhs_at(np.array([n], dtype=np.float64), c)[0])
+            return float(bound.rhs_at(np.array([n], dtype=np.float64),
+                                      default_constants())[0])
         except FloatingPointError as exc:
             raise DomainError(f"{bound.id} rhs is not representable at n={n}: {exc}"
                               ) from None
@@ -529,8 +529,7 @@ def _mean_holds(sense: str, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
     return holds
 
 
-def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: ConstantsTable
-             ) -> Window:
+def evaluate(table: PrimeTable, bound: Bound, cols: Columns) -> Window:
     """Evaluate one bound at the points cols.n, from the exact left-hand
     sides in cols (the mean reads cols.pi, theta cols.theta, and pi the
     table; theta and pi take float64 points too): the one place a verdict
@@ -545,7 +544,7 @@ def evaluate(table: PrimeTable, bound: Bound, cols: Columns, constants: Constant
         slack = np.minimum(lhs - lower, rhs - lhs)
         holds = (lhs > lower) & (lhs < rhs)
     else:
-        rhs = bound.rhs_at(nf, constants)
+        rhs = bound.rhs_at(nf, default_constants())
         if bound.lhs == "upsilon":
             lhs = cols.upsilon.astype(np.float64)
         elif bound.lhs == "mean":
@@ -642,8 +641,7 @@ def columns(table: PrimeTable, kinds: tuple[str, ...], n_from: int, n_to: int, *
 
 
 def sweep(table: PrimeTable, theorem_id: str, n_from: int, n_to: int, *,
-          log_samples: int | None = None,
-          constants: ConstantsTable | None = None) -> Iterator[Window]:
+          log_samples: int | None = None) -> Iterator[Window]:
     """The slices of :func:`columns` over [n_from, n_to], each judged by
     :func:`evaluate`.  The arguments are checked here, before any slice.
 
@@ -655,8 +653,7 @@ def sweep(table: PrimeTable, theorem_id: str, n_from: int, n_to: int, *,
     """
     bound = BOUNDS[resolve_theorem_id(theorem_id)]
     cols = columns(table, (bound.lhs,), n_from, n_to, log_samples=log_samples)
-    c = constants or default_constants()
-    return (evaluate(table, bound, col, c) for col in cols)
+    return (evaluate(table, bound, col) for col in cols)
 
 
 def _window_reports(theorem_id: str, window: Window) -> list[BoundReport]:
@@ -665,8 +662,7 @@ def _window_reports(theorem_id: str, window: Window) -> list[BoundReport]:
             for row in zip(*(a.tolist() for a in window))]
 
 
-def evaluate_theorem(table: PrimeTable, theorem_id: str, n: float,
-                     constants: ConstantsTable | None = None) -> BoundReport:
+def evaluate_theorem(table: PrimeTable, theorem_id: str, n: float) -> BoundReport:
     """Evaluate one bound at one n: exact lhs, recomputed-constant rhs.
 
     n is an integer, except for the theta and pi bounds (TB2, TB4, PI_LB,
@@ -680,8 +676,7 @@ def evaluate_theorem(table: PrimeTable, theorem_id: str, n: float,
     real = bound.lhs in _REAL_LHS
     _check_range(table, n, n, real=real)
     ns = np.array([n], dtype=None if real else np.int64)
-    window = evaluate(table, bound, _points(table, (bound.lhs,), ns),
-                      constants or default_constants())
+    window = evaluate(table, bound, _points(table, (bound.lhs,), ns))
     return _window_reports(bound.id, window)[0]
 
 
@@ -749,8 +744,7 @@ def merge_summaries(parts: Sequence[RangeSummary]) -> RangeSummary:
 
 
 def verify_range(table: PrimeTable, theorem_id: str, n_from: int, n_to: int,
-                 *, log_samples: int | None = None,
-                 constants: ConstantsTable | None = None
+                 *, log_samples: int | None = None
                  ) -> tuple[list[BoundReport], RangeSummary]:
     """Evaluate one bound over [n_from, n_to], exhaustively or log-spaced.
 
@@ -759,7 +753,6 @@ def verify_range(table: PrimeTable, theorem_id: str, n_from: int, n_to: int,
     :func:`sweep` directly and hold one window at a time.
     """
     tid = resolve_theorem_id(theorem_id)
-    windows = list(sweep(table, tid, n_from, n_to, log_samples=log_samples,
-                         constants=constants))
+    windows = list(sweep(table, tid, n_from, n_to, log_samples=log_samples))
     reports = [r for w in windows for r in _window_reports(tid, w)]
     return reports, summarize_reports(tid, n_from, n_to, log_samples, windows)

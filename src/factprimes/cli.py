@@ -58,7 +58,7 @@ from typing import Sequence
 import numpy as np
 
 from . import bounds, perfecter, primes
-from .errors import DomainError, OutOfRangeError, ResourceLimitError, WorkerError
+from .errors import DomainError, OutOfRangeError, ResourceLimitError, WorkerError, checked
 from .upsilon import odd_exponent_blocks, upsilon as upsilon_stats
 from .valuation import decomposition_blocks
 
@@ -127,10 +127,6 @@ def _sieve_limit(needed: int, max_sieve: int | None) -> int:
             f"request needs a sieve up to {needed}, above the cap {cap} "
             f"(raise --max-sieve or {MAX_SIEVE_ENV})")
     return cap
-
-
-def _build_table(needed: int, max_sieve: int | None) -> primes.PrimeTable:
-    return primes.build_table(max(needed, 2), limit_cap=_sieve_limit(needed, max_sieve))
 
 
 # ------------------------------------------------------------------- chunks
@@ -262,8 +258,8 @@ class _Unwritable(Exception):
 
 def _run_range(args, kinds: tuple[str, ...], header: str, work, *, step: int = 1,
                log_samples: int | None = None) -> list:
-    """[work(table, constants, first, last, out) for each chunk of the
-    range], out the open --out or None: the steps verify and scan share.
+    """[work(table, first, last, out) for each chunk of the range], out the
+    open --out or None: the steps verify and scan share.
     The sieve cap and bounds.columns' checks come first, so a refused
     request neither opens --out nor sieves."""
     n_from, n_to = args.n_from, args.n_to
@@ -282,10 +278,10 @@ def _run_range(args, kinds: tuple[str, ...], header: str, work, *, step: int = 1
                 # the table in the run's peak RSS (0.1 MB lower on T2 to 5e4)
                 from . import rows  # noqa: F401
             table = primes.build_table(n_to, limit_cap=cap)
-            constants = bounds.default_constants()
+            bounds.default_constants()  # computed once, before any fork
             if fh is not None:
                 fh.write(header + "\n")
-            return _in_chunks(chunks, functools.partial(work, table, constants), fh)
+            return _in_chunks(chunks, functools.partial(work, table), fh)
     except OSError as exc:
         if not args.out:
             raise
@@ -295,8 +291,12 @@ def _run_range(args, kinds: tuple[str, ...], header: str, work, *, step: int = 1
 # ---------------------------------------------------------------- decompose
 
 def cmd_decompose(args) -> int:
-    # upsilon refuses n < 2 before any output
-    table = _build_table(args.n, args.max_sieve)
+    # the sieve cap, then n, then the row writer's module (compiled before
+    # the table, as in _run_range), then the table
+    cap = _sieve_limit(args.n, args.max_sieve)
+    checked("n", args.n, 2)
+    from . import rows  # noqa: F401
+    table = primes.build_table(args.n, limit_cap=cap)
     res = upsilon_stats(table, args.n)
     # the factor rows go out block by block: no array over all primes <= n
     blocks, out = decomposition_blocks(table, args.n), sys.stdout
@@ -357,10 +357,9 @@ def _stream(tid, windows, fh, shown):
 def cmd_verify(args) -> int:
     bound = bounds.BOUNDS[bounds.resolve_theorem_id(args.theorem)]
 
-    def work(table, constants, first, last, fh):
+    def work(table, first, last, fh):
         shown: list[tuple] = []
-        windows = bounds.sweep(table, bound.id, first, last, log_samples=args.log_samples,
-                               constants=constants)
+        windows = bounds.sweep(table, bound.id, first, last, log_samples=args.log_samples)
         return (bounds.summarize_reports(bound.id, first, last, args.log_samples,
                                          _stream(bound.id, windows, fh, shown)), shown)
 
@@ -434,8 +433,10 @@ def _decimal(x: int) -> str:
 
 
 def cmd_perfecter(args) -> int:
-    # perfecter_factorial refuses n < 1 before any output
-    table = _build_table(max(args.n, 2), args.max_sieve)
+    # the sieve cap, then n, then the table
+    cap = _sieve_limit(args.n, args.max_sieve)
+    checked("n", args.n, 1)
+    table = primes.build_table(max(args.n, 2), limit_cap=cap)
     res = perfecter.perfecter_factorial(table, args.n,
                                         exact_max_bits=args.exact_max_bits)
     # the first primes from the blocks' head: the whole set is never held
@@ -450,9 +451,10 @@ def cmd_perfecter(args) -> int:
     else:
         print(f"  exact value suppressed (over {args.exact_max_bits} bits; "
               "raise --exact-max-bits)")
-    if args.n >= 4:
+    if args.n >= bounds.BOUNDS["S32_perfecter"].start:
         # the S32 comparisons, on the log value already computed
-        lower, upper = primes._at(bounds.perfecter_exponents, args.n)
+        lower, upper = (float(v[0]) for v in bounds.perfecter_exponents(
+            np.array([args.n], dtype=np.float64)))
         print(f"  lower bound exponent {fmt(lower)} < log value: "
               f"{fmt(res.log_value > lower)}")
         print(f"  upper bound exponent {fmt(upper)} > log value: "
@@ -468,13 +470,12 @@ _SCAN_BOUNDS = ("T1_upper_upsilon", "T4_lower_upsilon", "C3_upper_mean")
 _SCAN_KINDS = ("mean", "perfecter")
 
 
-def _scan_rows(fh, table, constants, cols) -> None:
+def _scan_rows(fh, table, cols) -> None:
     """Write one slice of scan rows, the T1/T4/C3 cells from the registry's
     verdicts.  A row's T4 and C3 cells are empty where that bound is not
     applicable; applicability is a suffix of the ascending rows, so the
     rows split into at most three runs, one template each."""
-    t1, t4, c3 = (bounds.evaluate(table, bounds.BOUNDS[tid], cols, constants)
-                  for tid in _SCAN_BOUNDS)
+    t1, t4, c3 = (bounds.evaluate(table, bounds.BOUNDS[tid], cols) for tid in _SCAN_BOUNDS)
     head = (cols.n, cols.upsilon, cols.pi, c3.lhs, t1.rhs, _bool_cells(t1.holds))
     cells = [(w.rhs, _bool_cells(w.holds)) for w in (t4, c3)]
     cuts = {len(cols.n) - np.count_nonzero(w.applicable) for w in (t4, c3)}
@@ -487,10 +488,10 @@ def _scan_rows(fh, table, constants, cols) -> None:
 
 
 def cmd_scan(args) -> int:
-    def work(table, constants, first, last, out):
+    def work(table, first, last, out):
         rows = 0
         for cols in bounds.columns(table, _SCAN_KINDS, first, last, step=args.step):
-            _scan_rows(out, table, constants, cols)
+            _scan_rows(out, table, cols)
             rows += len(cols.n)
         return rows
 
@@ -570,8 +571,8 @@ def build_parser() -> argparse.ArgumentParser:
         add_max_sieve(p)
 
     p = sub.add_parser("verify", help="check one bound over a range of n")
-    p.add_argument("theorem",
-                   help="T1 T2 C3 T4 T5 TB2 TB4 PI_LB PI_UB S32 or canonical id")
+    ids = " ".join(b.alias or b.id for b in bounds.BOUNDS.values())
+    p.add_argument("theorem", help=f"{ids} or canonical id")
     add_range(p)
     mode = p.add_mutually_exclusive_group()
     mode.add_argument("--exhaustive", action="store_true", default=True)

@@ -408,11 +408,6 @@ def nth_prime(table: PrimeTable, k: int) -> int:
     return 2 * j + 1
 
 
-def _at(formula, x: float) -> tuple[float, ...]:
-    # a formula evaluated on a one-point array, as Python floats
-    return tuple(float(v[0]) for v in formula(np.array([x], dtype=np.float64)))
-
-
 def check_dusart_theta(table: PrimeTable, x: float) -> tuple[BoundReport, BoundReport]:
     """The registry's TB2 and TB4 reports at a real x >= 2: |theta(x) - x|
     against (793/200) x / log^2 x and 1717433 x / log^4 x.

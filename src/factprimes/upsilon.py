@@ -51,11 +51,9 @@ ASYMPTOTIC_MIN_N = 16
 
 
 class UpsilonResult(NamedTuple):
-    """Exact exponent sum of n! plus its mean and first-order asymptotics.
+    """Exact exponent sum of n! plus its mean.
 
     mean_exact * pi_n == upsilon holds exactly; mean is the float rendering.
-    The asymptotic fields are None for n == 2 (log log n is not a useful
-    quantity there).
     """
 
     n: int
@@ -63,8 +61,6 @@ class UpsilonResult(NamedTuple):
     pi_n: int
     mean_exact: Fraction
     mean: float
-    asymptotic_main: float | None
-    mean_asymptotic: float | None
 
 
 class MeanLocation(NamedTuple):
@@ -98,7 +94,7 @@ def upsilon_value(table: PrimeTable, n: int) -> int:
 
 
 def upsilon(table: PrimeTable, n: int) -> UpsilonResult:
-    """Exponent sum, prime count, exact mean, and asymptotic main terms.
+    """Exponent sum, prime count and exact mean.
 
     Raises:
         DomainError: n not an integer, or n < 2.
@@ -109,24 +105,8 @@ def upsilon(table: PrimeTable, n: int) -> UpsilonResult:
     ups = upsilon_value(table, n)
     pi_n = pi(table, n)
     mean_exact = Fraction(ups, pi_n)
-    if n >= 3:
-        ln_n = math.log(n)
-        asymptotic_main = n * math.log(ln_n)
-        mean_asymptotic = ln_n * math.log(ln_n)
-    else:
-        asymptotic_main = None
-        mean_asymptotic = None
     return UpsilonResult(n=n, upsilon=ups, pi_n=pi_n, mean_exact=mean_exact,
-                         mean=float(mean_exact), asymptotic_main=asymptotic_main,
-                         mean_asymptotic=mean_asymptotic)
-
-
-def upsilon_asymptotic_gap(table: PrimeTable, n: int) -> float:
-    """Per-n residual (upsilon(n) - n log log n) / n of the leading term,
-    for an integer n >= 3."""
-    n = checked("n", n, 3, table=table)
-    ups = upsilon_value(table, n)
-    return (ups - n * math.log(math.log(n))) / n
+                         mean=float(mean_exact))
 
 
 # Points per step of the factor pass's cofactor step, whose temporaries take

@@ -29,14 +29,15 @@ _MR_EXACT_BELOW = 3_317_044_064_679_887_385_961_981
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic primality check of an integer n.
+    """Deterministic primality check of an integer n; every answer is a proof.
 
     A strong probable-prime (Miller-Rabin) test to the bases 2 .. 41
     decides every n below 3.3e24.  A larger n that passes it must also pass
     a strong Lucas test (the two together are the Baillie-PSW test, which
-    no composite is known to pass), so composites are refused at once; one
-    that passes both is confirmed by trial division, so every answer is a
-    proof.
+    no composite is known to pass), so composites are refused at once.  One
+    that passes both raises ResourceLimitError: trial division to sqrt n
+    would take 10^12 steps or more (a Pocklington certificate could prove
+    such a candidate instead).
     """
     n = checked("prime candidate", n)
     if n < 2:
@@ -50,12 +51,8 @@ def is_prime(n: int) -> bool:
         return True
     if not _strong_lucas_probable_prime(n):
         return False
-    f = _MR_BASES[-1] + 2
-    while f * f <= n:
-        if n % f == 0:
-            return False
-        f += 2
-    return True
+    raise ResourceLimitError(f"{n} passes the Baillie-PSW test, but no proof of "
+                             f"primality above {_MR_EXACT_BELOW} is implemented")
 
 
 def _strong_probable_prime(n: int, a: int) -> bool:
@@ -171,6 +168,7 @@ def legendre_valuation(n: int, p: int) -> Valuation:
 
     Raises:
         DomainError: n not an integer, n < 0, or p is not prime.
+        ResourceLimitError: p a candidate is_prime refuses to decide.
     """
     n = checked("n", n, 0)
     if not is_prime(checked("p", p)):

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from factprimes import (DomainError, RangeSummary, default_constants,
                         error_terms, evaluate_theorem, kappa, log_integral, s1,
                         s2, theta, upsilon_value, verify_range)
-from factprimes import bounds
+from factprimes import bounds, cli
 from factprimes.bounds import (CLOSED_FORM, EXACT_EVAL, TABULATED,
                                log_spaced, resolve_theorem_id, rhs_value, sweep)
 from factprimes.errors import OutOfRangeError, ResourceLimitError
@@ -625,6 +625,32 @@ class TestSweepEngine:
             with pytest.raises(DomainError):
                 rhs_value(tid, n)
         assert rhs_value("T1", 2) == rhs_value("T2", 2) == -math.inf
+
+
+class TestOneSourceOfConstants:
+    """Every right-hand side reads bounds.default_constants(): a table
+    patched in there moves every report, and a mutation check can change a
+    constant the same way."""
+
+    def test_lowered_c4_reaches_every_report(self, capsys, monkeypatch, table_small):
+        n = 1000
+        original = default_constants()
+        entries = dict(original.entries, c4=original.entries["c4"]._replace(
+            value=original.c4 - 200))
+        lowered = bounds.ConstantsTable(entries)
+        monkeypatch.setattr(bounds, "default_constants", lambda: lowered)
+        rhs = float(bounds._rhs_t1(np.array([n], dtype=np.float64), lowered)[0])
+        assert rhs < upsilon_value(table_small, n) < float(
+            bounds._rhs_t1(np.array([n], dtype=np.float64), original)[0])
+
+        assert rhs_value("T1", n) == rhs
+        assert evaluate_theorem(table_small, "T1", n).rhs == rhs
+        (window,) = sweep(table_small, "T1", n, n)
+        assert window.rhs.tolist() == [rhs]
+        reports, summary = verify_range(table_small, "T1", n, n)
+        assert reports[0].rhs == rhs and summary.violations == (n,)
+        assert cli.main(["verify", "T1", "--from", str(n), "--to", str(n)]) == 1
+        assert f" rhs={cli.fmt(rhs)} " in capsys.readouterr().out
 
 
 class TestVacuousLowerBounds:

@@ -57,6 +57,16 @@ class TestDecompose:
         code, _, err = run(capsys, "decompose", "1")
         assert code == 2
 
+    @pytest.mark.parametrize("command,n", [("decompose", "1"), ("perfecter", "0")])
+    def test_n_is_checked_before_sieving(self, capsys, monkeypatch, command, n):
+        def refuse(*args, **kwargs):
+            raise AssertionError("sieved")
+
+        monkeypatch.setattr(primes, "build_table", refuse)
+        code, out, err = run(capsys, command, n)
+        least = 2 if command == "decompose" else 1
+        assert (code, out, err) == (2, "", f"bad request: n must be >= {least}, got {n}\n")
+
     def test_over_sieve_cap(self, capsys):
         code, _, err = run(capsys, "decompose", "1000", "--max-sieve", "100")
         assert code == 3
@@ -177,6 +187,12 @@ class TestVerify:
         captured = capsys.readouterr()
         assert captured.out == "" and "--jobs: must be at least 1" in captured.err
         assert not (tmp_path / "scan.csv").exists()
+
+    def test_help_names_every_registered_id(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["verify", "--help"])
+        words = capsys.readouterr().out.split()
+        assert {b.alias or b.id for b in bounds.BOUNDS.values()} <= set(words)
 
     def test_unknown_theorem(self, capsys):
         code, _, err = run(capsys, "verify", "T7", "--from", "2", "--to", "10")
@@ -337,7 +353,8 @@ def reference_perfecter(table, n, exact_max_bits=perfecter_module.DEFAULT_EXACT_
         lines.append(f"  exact value suppressed (over {exact_max_bits} bits; "
                      "raise --exact-max-bits)")
     if n >= 4:
-        lower, upper = primes._at(bounds.perfecter_exponents, n)
+        lower, upper = (float(v[0]) for v in
+                        bounds.perfecter_exponents(np.array([n], dtype=np.float64)))
         lines.append(f"  lower bound exponent {fmt(lower)} < log value: {fmt(log_value > lower)}")
         lines.append(f"  upper bound exponent {fmt(upper)} > log value: {fmt(log_value < upper)}")
     return "\n".join(lines) + "\n"
@@ -384,7 +401,7 @@ class TestPerfecter:
     @pytest.mark.parametrize("n", [4, 5, 100, 10007])
     def test_perfecter_computed_once(self, capsys, monkeypatch, n):
         rep = perfecter_bounds(build_table(n), n)
-        lower = primes._at(bounds.perfecter_exponents, n)[0]
+        lower = float(bounds.perfecter_exponents(np.array([n], dtype=np.float64))[0][0])
         calls = []
 
         def counted(*args, **kwargs):

@@ -29,8 +29,8 @@ from factprimes import (DomainError, OutOfRangeError, QuadratureSpec,
                         mean_vs_Lth_prime, nth_prime, odd_exponent_primes,
                         omega, perfecter_bounds, perfecter_factorial, pi, s1,
                         s2, squarefree_kernel, theta, theta_classed, upsilon,
-                        upsilon_asymptotic_gap, upsilon_range, upsilon_value,
-                        valuation_vector, verify_range)
+                        upsilon_range, upsilon_value, valuation_vector,
+                        verify_range)
 from factprimes.bounds import columns, default_constants, rhs_value
 from factprimes.report import Record
 from factprimes.upsilon import factorial_windows, omega_window
@@ -86,8 +86,6 @@ INTEGER_ARGS = {
     "nth_prime": Arg("nth_prime", "k", nth_prime, 10, 0, 1230),  # pi(10^4) = 1229
     "upsilon_value": Arg("upsilon_value", "n", upsilon_value, 10, 1, LIMIT + 1),
     "upsilon": Arg("upsilon", "n", upsilon, 10, 1, LIMIT + 1),
-    "upsilon_asymptotic_gap": Arg("upsilon_asymptotic_gap", "n", upsilon_asymptotic_gap,
-                                  10, 2, LIMIT + 1),
     "upsilon_range_n_from": Arg("upsilon_range", "n_from",
                                 lambda t, v: upsilon_range(t, v, 20), 10, 1),
     "upsilon_range_n_to": Arg("upsilon_range", "n_to", lambda t, v: upsilon_range(t, 2, v),

@@ -10,8 +10,7 @@ from hypothesis import strategies as st
 from factprimes import (DomainError, FactprimesError, OutOfRangeError,
                         lambert_w_index, mean_location, mean_vs_Lth_prime,
                         omega, perfecter_factorial, pi, upsilon,
-                        upsilon_asymptotic_gap, upsilon_range, upsilon_value,
-                        valuation_vector)
+                        upsilon_range, upsilon_value, valuation_vector)
 from factprimes.primes import log_totals
 from factprimes.upsilon import (_anchor, factorial_points, factorial_windows,
                                 odd_exponent_primes, omega_window)
@@ -28,17 +27,10 @@ class TestUpsilon:
 
         r2 = upsilon(table_small, 2)
         assert r2.upsilon == 1 and r2.mean == 1.0
-        assert r2.asymptotic_main is None and r2.mean_asymptotic is None
 
         r6 = upsilon(table_small, 6)
         assert r6.upsilon == 7
         assert r6.mean_exact == Fraction(7, 3)
-
-    def test_asymptotic_fields(self, table_small):
-        r = upsilon(table_small, 1000)
-        assert r.asymptotic_main == pytest.approx(1000 * math.log(math.log(1000)))
-        assert r.mean_asymptotic == pytest.approx(
-            math.log(1000) * math.log(math.log(1000)))
 
     def test_known_value_at_100(self, table_small):
         assert upsilon_value(table_small, 100) == 239
@@ -84,20 +76,6 @@ class TestRecurrence:
             assert r.mean_exact >= 1
             all_ones = int(valuation_vector(table_small, n).max()) == 1
             assert (r.mean_exact == 1) == all_ones
-
-
-class TestAsymptoticGap:
-    def test_at_3(self, table_small):
-        expected = (2 - 3 * math.log(math.log(3))) / 3
-        assert upsilon_asymptotic_gap(table_small, 3) == pytest.approx(expected)
-
-    def test_at_10(self, table_small):
-        assert upsilon_asymptotic_gap(table_small, 10) == \
-            pytest.approx(0.666, abs=1e-3)
-
-    def test_domain(self, table_small):
-        with pytest.raises(DomainError):
-            upsilon_asymptotic_gap(table_small, 2)
 
 
 class TestRangeScanner:

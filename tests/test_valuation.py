@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from factprimes import (DomainError, OutOfRangeError, ResourceLimitError,
                         digit_sum, factorial_valuation_oracle,
                         full_decomposition, is_prime, legendre_valuation,
-                        omega, primes, valuation_vector)
+                        omega, primes, squarefree_kernel, valuation_vector)
 from factprimes.valuation import (_strong_lucas_probable_prime, _strong_probable_prime,
                                   decomposition_blocks)
 
@@ -197,6 +197,18 @@ class TestHelpers:
         start = perf_counter()
         assert not is_prime(n) and not is_prime(n * 1_000_003)
         assert perf_counter() - start < 1
+
+    def test_prime_above_the_exact_range_is_refused_at_once(self):
+        # M89 passes the Baillie-PSW test; trial division to its square root
+        # would take about 10^13 steps, so it is refused, not proven
+        m89 = 2**89 - 1
+        for call in (lambda: is_prime(m89), lambda: legendre_valuation(10, m89),
+                     lambda: squarefree_kernel([(m89, 1)])):
+            start = perf_counter()
+            with pytest.raises(ResourceLimitError):
+                call()
+            assert perf_counter() - start < 1
+        assert not is_prime(2**89 + 1)
 
     def test_legendre_valuation_of_a_large_prime_is_fast(self):
         # trial division took 0.66 s to accept p
