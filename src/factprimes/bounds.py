@@ -25,12 +25,13 @@ description.  :func:`columns` chooses the points, in slices of
 slice; ``sweep``, ``verify`` and ``scan`` call both.  Exact left-hand sides
 come from upsilon.factorial_windows over a range, a factor pass per window
 of ``walk_window(n_to)`` points with the running sums carried slice by
-slice, and from upsilon.factorial_points at scattered points; pi reads the
-table, and theta is carried slice by slice as an exact log total along runs
-and read from the table's log directory at scattered points, at real n
-too.  Pointwise evaluation is a one-point slice and :func:`rhs_value` a
-one-point rhs, so all agree bit for bit.  Memory stays O(slice), beyond
-the factor pass's narrow window arrays.
+slice, and from upsilon.factorial_points at scattered points.  Along runs,
+theta is carried slice by slice as an exact log total, and at unit steps
+pi as a count; at scattered points, at real n too, theta is read from the
+table's log directory and pi from the table.  Pointwise evaluation is a
+one-point slice and :func:`rhs_value` a one-point rhs, so all agree bit
+for bit.  Memory stays O(slice), beyond the factor pass's narrow window
+arrays.
 
 Note the T1 right-hand side contains (n-1) * log log(n-1), which diverges
 to -inf at n = 2; the verifier evaluates and reports exactly that, so the
@@ -46,7 +47,7 @@ from typing import TYPE_CHECKING, Callable, Iterable, Iterator, NamedTuple, Sequ
 import numpy as np
 
 from .errors import DomainError, ResourceLimitError, checked
-from .primes import PrimeTable, theta, theta_from
+from .primes import PrimeTable, pi, pi_from, theta, theta_from
 from .report import MARGINAL_SLACK, BoundReport, Record
 from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
                                 exp_integral, integrate)
@@ -531,9 +532,9 @@ def _mean_holds(sense: str, ups: np.ndarray, pis: np.ndarray, mean: np.ndarray,
 
 def evaluate(table: PrimeTable, bound: Bound, cols: Columns) -> Window:
     """Evaluate one bound at the points cols.n, from the exact left-hand
-    sides in cols (the mean reads cols.pi, theta cols.theta, and pi the
-    table; theta and pi take float64 points too): the one place a verdict
-    is decided."""
+    sides in cols (the mean reads cols.pi, theta cols.theta, and pi
+    cols.pi where it was carried, else the table; theta and pi take float64
+    points too): the one place a verdict is decided."""
     ns = cols.n
     nf = ns.astype(np.float64)
     if bound.lhs == "perfecter":
@@ -552,7 +553,7 @@ def evaluate(table: PrimeTable, bound: Bound, cols: Columns) -> Window:
         elif bound.lhs == "theta":
             lhs = np.abs(cols.theta - ns)
         else:
-            lhs = table.count(ns).astype(np.float64)
+            lhs = (table.count(ns) if cols.pi is None else cols.pi).astype(np.float64)
         slack = rhs - lhs if bound.upper else lhs - rhs
         if bound.lhs == "mean":
             holds = _mean_holds(bound.sense, cols.upsilon, cols.pi, lhs, rhs, slack)
@@ -594,27 +595,38 @@ def _walked(walk: Iterator[Columns], n_from: int, step: int) -> Iterator[Columns
             yield Columns(*(None if a is None else a[start::step] for a in cols))
 
 
-def _theta_runs(table: PrimeTable, chunks: Iterator[np.ndarray]) -> Iterator[Columns]:
-    # theta along consecutive chunks of a run of integer points, its exact
-    # total carried from 0 and from one chunk to the next
-    done, total = 0, 0
+def _runs(table: PrimeTable, kinds: tuple[str, ...], chunks: Iterator[np.ndarray],
+          done: int, step: int) -> Iterator[Columns]:
+    # theta, and pi at unit steps, along consecutive chunks of a run of
+    # integer points above done: read at done once, then carried from one
+    # chunk to the next through the primes in between.  At wider steps
+    # evaluate counts pi from the table, in less time than the unpacking.
+    total = table.log_totals_in(0, done) if "theta" in kinds else None
+    count = pi(table, done) if "pi" in kinds and step == 1 else None
     for ns in chunks:
-        theta_n, total = theta_from(table, ns, done, total)
+        cols = Columns(ns, None, None)
+        if total is not None:
+            theta_n, total = theta_from(table, ns, done, total)
+            cols = cols._replace(theta=theta_n)
+        if count is not None:
+            pi_n, count = pi_from(table, ns, done, count)
+            cols = cols._replace(pi=pi_n)
         done = int(ns[-1])
-        yield Columns(ns, None, None, theta=theta_n)
+        yield cols
 
 
 def columns(table: PrimeTable, kinds: tuple[str, ...], n_from: int, n_to: int, *,
             step: int = 1, log_samples: int | None = None) -> Iterator[Columns]:
     """The points n_from, n_from + step, ... <= n_to, or log_samples
     log-spaced points, with the exact left-hand sides of the kinds kinds
-    (Bound.lhs values; pi(n) is computed only for "mean"), in ascending
-    slices of at most slice_points(n_to) points.  Steps below
-    walk_window(n_to) walk factorial_windows in windows of walk_points, in
-    pieces of a slice times step, and keep every step-th row; log-spaced
-    points and wider steps go through factorial_points, since one anchor
-    costs about as much as walking one window.  Runs of theta points carry
-    theta(n) from slice to slice.  The arguments are checked here."""
+    (Bound.lhs values; pi(n) is computed for "mean", and for "pi" at unit
+    steps), in ascending slices of at most slice_points(n_to) points.
+    Steps below walk_window(n_to) walk factorial_windows in windows of
+    walk_points, in pieces of a slice times step, and keep every step-th
+    row; log-spaced points and wider steps go through factorial_points,
+    since one anchor costs about as much as walking one window.  Runs of
+    theta points carry theta(n) from slice to slice, and runs of unit steps
+    pi(n).  The arguments are checked here."""
     _check_range(table, n_from, n_to)
     n_from, n_to = int(n_from), int(n_to)
     step = checked("step", step, 1, most=None if log_samples is None else 1)
@@ -632,11 +644,9 @@ def columns(table: PrimeTable, kinds: tuple[str, ...], n_from: int, n_to: int, *
         chunks = (np.arange(lo, min(lo + span, n_to + 1), step, dtype=np.int64)
                   for lo in range(n_from, n_to + 1, span))
         if step < walk_window(n_to):
-            # runs of points, not scattered ones: theta is carried along
-            # them, and pi read from the table in evaluate
-            if "theta" in kinds:
-                return _theta_runs(table, chunks)
-            return (Columns(ns, None, None) for ns in chunks)
+            # runs of points, not scattered ones (and of real kinds only, or
+            # they would be walked): their left-hand sides are carried
+            return _runs(table, kinds, chunks, n_from - 1, step)
     return (_points(table, kinds, ns) for ns in chunks)
 
 

@@ -133,13 +133,14 @@ def _sieve_limit(needed: int, max_sieve: int | None) -> int:
 
 # A range is split only where every chunk pays back its fork several times
 # over.  On a 2-vCPU x86-64 host a fork round trip (fork, os._exit, waitpid)
-# of a process holding the package and a table took 2.1-2.8 ms, a swept
-# point 0.05-0.16 us with no row written, and a point with its row written
-# 0.56-0.67 us: 2^17 points are 7-21 ms of work, and 2^14 rows 9-11 ms.  At
-# those chunk sizes --jobs 2 measured even with --jobs 1 end to end, and
-# faster above.
+# of a process holding the package and a table took 2.1-2.8 ms, before the
+# copy-on-write faults of both processes, a swept point 0.05-0.16 us with
+# no row written, and a point with its row written 0.5-0.6 us: 2^17 points
+# are 7-21 ms of work, and 2^15 rows 16-20 ms.  With rows written, --jobs 2
+# measured even with --jobs 1 at 2^14 rows a chunk (verify T2 to 50100:
+# 168-176 ms either way, 40 alternating runs) and 3-4% faster from 2^15 on.
 MIN_CHUNK_POINTS = 1 << 17
-MIN_CHUNK_ROWS = 1 << 14
+MIN_CHUNK_ROWS = 1 << 15
 
 # Workers need os.fork, and appending their rows needs an os.sendfile that
 # copies from file to file: Linux has both.

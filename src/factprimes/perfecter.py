@@ -22,7 +22,7 @@ from .errors import DomainError, checked
 from .primes import PrimeTable, log_totals, log_value
 from .report import BoundReport
 from .upsilon import odd_exponent_blocks
-from .valuation import _odd_exponent_primes, is_prime, valuation_vector
+from .valuation import _legendre_exponents, is_prime
 
 DEFAULT_EXACT_MAX_BITS = 4096
 
@@ -146,9 +146,8 @@ def theta_classed(table: PrimeTable, n: int, q: int) -> ThetaClassed:
     n = checked("n", n, 2, table=table)
     if not is_prime(checked("modulus", q)):
         raise DomainError(f"modulus must be prime, got {q}")
-    v = valuation_vector(table, n)
     ps = table.primes_up_to(n)
-    residues = v % q
+    residues = _legendre_exponents(ps, n) % q
     values = [_log_sum(ps[residues == a]) for a in range(q)]
     return ThetaClassed(n=n, q=q, values=values)
 
@@ -172,9 +171,10 @@ def bertrand_equivalence(table: PrimeTable, n: int) -> BertrandCheck:
         DomainError: n not an integer, or n < 2.
         OutOfRangeError: n beyond the table limit.
     """
-    v = valuation_vector(table, n)  # checks n
+    n = checked("n", n, 2, table=table)
     ps = table.primes_up_to(n)
-    odd = _odd_exponent_primes(table, n, v)
+    v = _legendre_exponents(ps, n)
+    odd = ps[(v & 1) == 1]
     log_perfecter = _log_sum(odd)
     exceeds_one = len(odd) > 0
 

@@ -2,10 +2,11 @@
 
 A :class:`PrimeTable` is built once by :func:`build_table` and is immutable
 afterwards, so it can be shared freely across threads and workers.  It holds
-the primes as an odd-only bit set with a rank directory: ``pi`` is one rank
-read and one popcount, ``nth_prime`` a search of the ranks, and a range of
-primes is unpacked from its own words only (``PrimeTable.primes_in``); no
-primality testing happens after construction.  The explicit
+the primes as a bit set on the mod-30 wheel, one bit for each number prime
+to 30, with a rank directory: ``pi`` is one rank read and one popcount,
+``nth_prime`` a search of the ranks, and a range of primes is unpacked from
+its own words only (``PrimeTable.primes_in``); no primality testing happens
+after construction.  The explicit
 theta and pi bounds are records of the bound registry (``bounds.BOUNDS``);
 ``check_dusart_theta`` and ``check_dusart_pi`` return its reports.
 
@@ -20,6 +21,7 @@ array over all primes.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from typing import Iterator
@@ -30,9 +32,9 @@ from .errors import OutOfRangeError, ResourceLimitError, checked
 from .report import BoundReport, Record
 
 # Default cap on the sieve limit (build_table's limit_cap).  The table
-# takes 3/32 of a byte a number, about 19 MB at 2e8; the first use of
-# primes or log_prefix, which no query reads, adds 8 bytes a prime each
-# (11.1e6 primes at 2e8).
+# takes 1/20 of a byte a number, 10 MB at 2e8; the first use of primes or
+# log_prefix, which no query reads, adds 8 bytes a prime each (11.1e6
+# primes at 2e8).
 DEFAULT_LIMIT_CAP = 200_000_000
 
 
@@ -109,20 +111,40 @@ def _kahan_prefix(table: PrimeTable) -> np.ndarray:
     return theta_from(table, table.primes_in(0, table.limit), 0, 0)[0]
 
 
-# Odd numbers per sieve segment, and per unpacked block of primes_in: a
-# multiple of 64, so segments fill whole words.
-_SEGMENT = 1 << 18
+# The mod-30 wheel of the table: each cycle of 30 integers holds 8 numbers
+# prime to 30, at these offsets, and takes one byte of bits.  _SPOKES_UPTO[r]
+# counts the offsets up to r, so 8 (x // 30) + _SPOKES_UPTO[x % 30] bits stand
+# for the numbers up to x; below 5, pi is read from _PI_SMALL.
+_SPOKES = (1, 7, 11, 13, 17, 19, 23, 29)
+_SPOKE_FIELDS = np.int64(sum(s << 5 * i for i, s in enumerate(_SPOKES)))
+_SPOKES_UPTO = np.array([sum(s <= r for s in _SPOKES) for r in range(30)])
+_PI_SMALL = np.array([0, 0, 1, 2, 2])
 _WORD_BITS = 64
+# Cycles of 30 per sieve segment, and per unpacked block of primes_in: a
+# multiple of 8, so a segment's bytes of bits fill whole words.  Segments of
+# 2^14 cycles built the 2e7 table 10% slower.
+_SEGMENT = 1 << 15
+# Cycles per gather of build_table: 64 KB of gathered flags at a time, not
+# a second segment's worth.
+_GATHER = 1 << 13
+
+
+def _spokes_upto(x: int) -> int:
+    # the number of bits that stand for numbers <= x, for an int x >= 0
+    return 8 * (x // 30) + bisect.bisect_right(_SPOKES, x % 30)
 
 
 class PrimeTable(Record):
-    """The primes up to ``limit`` as an odd-only bit set with a rank
-    directory.
+    """The primes up to ``limit`` as a bit set on the mod-30 wheel with a
+    rank directory.
 
-    Bit j of ``bits`` (little-endian uint64 words) is set iff 2j + 1 is
-    prime.  ``rank[w]`` is the number of primes below 128 w + 1, the prime
-    2 included, so pi(x) is one rank read plus one popcount (``count``).
-    Together they take about limit/16 + limit/32 bytes.  ``primes_in``
+    Bit k of ``bits`` (little-endian uint64 words) stands for the k-th
+    positive integer prime to 30, 30 (k // 8) + (1, 7, 11, 13, 17, 19, 23,
+    29)[k % 8], and is set iff that number is prime and at most ``limit``.
+    ``rank[w]`` (int32) is the number of primes below 240 w + 1, the first
+    number of word w, with 2, 3 and 5 counted (in word 0 too), so from
+    x = 5 on pi(x) is one rank read plus one popcount (``count``).
+    Together they take about limit/30 + limit/60 bytes.  ``primes_in``
     lists the primes in a value range by unpacking only its words.
 
     ``primes`` (every prime, int64) and ``log_prefix`` (``log_prefix[i]``
@@ -198,52 +220,65 @@ class PrimeTable(Record):
 
     def _pi(self, x: int) -> int:
         # pi(x) for one int 0 <= x <= limit, in Python ints
-        if x < 2:
-            return 0
-        j = (x - 1) >> 1
-        word = int(self.bits[j >> 6]) & ((2 << (j & 63)) - 1)
-        return int(self.rank[j >> 6]) + word.bit_count()
+        if x < 5:
+            return int(_PI_SMALL[x])
+        k = _spokes_upto(x) - 1  # the bit of the largest wheel number <= x
+        word = int(self.bits[k >> 6]) & ((2 << (k & 63)) - 1)
+        return int(self.rank[k >> 6]) + word.bit_count()
 
     def count(self, x: np.ndarray) -> np.ndarray:
         """pi(x), elementwise, for a 1-D int or float array of
         0 <= x <= limit; a real x counts the primes up to floor(x)."""
-        j = (np.floor(x) if x.dtype.kind == "f" else x).astype(np.int64)
-        j -= 1
-        j >>= 1
-        np.maximum(j, 0, out=j)  # x < 2 is set to 0 below
-        w = j >> 6
-        j &= 63
-        j ^= 63  # shifting a word left by 63 - (j & 63) keeps bits 0 .. j & 63
+        small = x < 5  # set from _PI_SMALL below
+        k, w = np.divmod((np.floor(x) if x.dtype.kind == "f" else x).astype(np.int64), 30)
+        k <<= 3
+        k += _SPOKES_UPTO[w]  # w holds x % 30 until it takes the word of k
+        k -= 1  # the bit of the largest wheel number <= x
+        np.maximum(k, 0, out=k)
+        np.right_shift(k, 6, out=w)
+        k &= 63
+        k ^= 63  # shifting a word left by 63 - (k & 63) keeps bits 0 .. k & 63
         below = self.bits[w]
-        below <<= j.view(np.uint64)
+        below <<= k.view(np.uint64)
         pis = self.rank[w].astype(np.int64)
         pis += np.bitwise_count(below)
-        pis *= x >= 2
+        if small.any():
+            pis[small] = _PI_SMALL[x[small].astype(np.int64)]
         return pis
 
     def primes_in(self, lo: int, hi: int) -> np.ndarray:
         """The primes p with lo < p <= hi (clipped to [0, limit]), ascending,
         as a new int64 array of their exact count.  Only the words of
-        (lo, hi] are unpacked, _SEGMENT bits at a time."""
+        (lo, hi] are unpacked, the bits of _SEGMENT cycles at a time."""
         lo, hi = max(int(lo), 0), min(int(hi), self.limit)
         if hi <= lo:
             return np.empty(0, dtype=np.int64)
         out = np.empty(self._pi(hi) - self._pi(lo), dtype=np.int64)
         k = 0
-        if lo < 2 <= hi:
-            out[0] = 2
-            k = 1
-        j_hi = (hi + 1) // 2  # the odd 2j + 1 in (lo, hi] have (lo + 1) // 2 <= j < j_hi
-        for a in range((lo + 1) // 2, j_hi, _SEGMENT):
-            b = min(a + _SEGMENT, j_hi)
+        if lo < 5:
+            small = [p for p in (2, 3, 5) if lo < p <= hi]
+            out[:len(small)] = small
+            k = len(small)
+        # the wheel numbers in (lo, hi] have the bits _spokes_upto(lo) <= j < j_hi
+        j_hi = _spokes_upto(hi)
+        for a in range(_spokes_upto(lo), j_hi, 8 * _SEGMENT):
+            b = min(a + 8 * _SEGMENT, j_hi)
             w = a // _WORD_BITS
             flags = np.unpackbits(self.bits[w:-(-b // _WORD_BITS)].view(np.uint8),
                                   bitorder="little").view(bool)  # nonzero is faster on bool
             idx = np.flatnonzero(flags[a - w * _WORD_BITS:b - w * _WORD_BITS])
             idx += a
-            idx *= 2
-            idx += 1
-            out[k:k + len(idx)] = idx
+            # bit j stands for 30 (j >> 3) + _SPOKES[j & 7]: the offsets are
+            # shifted out of _SPOKE_FIELDS in the output itself, where a
+            # lookup would hold two more arrays of the block's size
+            dest = out[k:k + len(idx)]
+            np.bitwise_and(idx, 7, out=dest)
+            dest *= 5
+            np.right_shift(_SPOKE_FIELDS, dest, out=dest)
+            dest &= 31
+            idx >>= 3
+            idx *= 30
+            dest += idx
             k += len(idx)
         return out
 
@@ -255,8 +290,8 @@ class PrimeTable(Record):
 # Values per block of prime_blocks: at most 23000 primes (pi(2^18) = 23000),
 # so a block's log limbs and their sums stay below a megabyte.
 _VALUE_BLOCK = 1 << 18
-# Values per entry of PrimeTable.log_directory: 64 words of bits.
-_LOG_STEP = 2 * _WORD_BITS * 64
+# Values per entry of PrimeTable.log_directory: 8192, about 34 words of bits.
+_LOG_STEP = 1 << 13
 
 
 def prime_blocks(table: PrimeTable, lo: int, hi: int) -> Iterator[np.ndarray]:
@@ -266,11 +301,13 @@ def prime_blocks(table: PrimeTable, lo: int, hi: int) -> Iterator[np.ndarray]:
         yield table.primes_in(a, min(a + _VALUE_BLOCK, hi))
 
 
-# The wheel of build_table: whether bit j of an odd-only sieve (the odd
+# The pre-sieve of build_table: whether byte j of an odd-only sieve (the odd
 # 2j + 1) is a multiple of a wheel prime depends on j modulo their product
-# only, so every segment starts as a copy of one pattern.
+# only, so every segment starts as a copy of one pattern.  A cycle of 30 is
+# 15 bytes there, and its numbers prime to 30 are the bytes _SPOKE_BYTES.
 _WHEEL_PRIMES = (3, 5, 7, 11, 13)
-_WHEEL = math.prod(_WHEEL_PRIMES)  # 15015 bits
+_WHEEL = math.prod(_WHEEL_PRIMES)  # 15015 bytes
+_SPOKE_BYTES = [(s - 1) // 2 for s in _SPOKES]
 
 
 def build_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable:
@@ -278,11 +315,13 @@ def build_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable
 
     A segmented odds-only sieve of Eratosthenes (after Bays & Hudson, BIT
     17, 1977) with a wheel pre-sieve (after Pritchard, CACM 24, 1981): each
-    segment of _SEGMENT odd numbers starts as the _WHEEL-periodic pattern of
-    the numbers prime to 3 .. 13, copied in doubling runs, is sieved as
-    bytes by the primes from 17 up to isqrt(limit), packed into bits and
-    counted into the rank directory, so the peak is the table itself plus
-    one segment.
+    segment of _SEGMENT cycles of 30 (15 odd numbers each) starts as the
+    _WHEEL-periodic pattern of the numbers prime to 3 .. 13, copied in
+    doubling runs, and is sieved as bytes by the primes from 17 up to
+    isqrt(limit).  The bytes of its numbers prime to 30, 8 a cycle, are
+    taken by 8 strided copies, _GATHER cycles at a time, packed into bits
+    and counted into the rank directory, so the peak is the table itself
+    plus one segment and one gather.
 
     Raises:
         DomainError: limit not an integer, or limit < 2.
@@ -300,20 +339,26 @@ def build_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable
         if small[p]:
             small[p * p::p] = False
     base = np.flatnonzero(small)[1 + len(_WHEEL_PRIMES):]  # the primes in (13, root]
-    firsts = (base * base - 1) // 2  # the bit of p^2, where crossing off starts
-    halves = (base - 1) // 2  # p's odd multiples are the bits j = halves mod p
+    firsts = (base * base - 1) // 2  # the byte of p^2, where crossing off starts
+    halves = (base - 1) // 2  # p's odd multiples are the bytes j = halves mod p
     pattern = np.ones(2 * _WHEEL, dtype=bool)  # two periods: any phase is one slice
     for p in _WHEEL_PRIMES:
         pattern[(p - 1) // 2::p] = False
 
-    n_bits = (limit + 1) // 2  # bit j stands for 2j + 1 <= limit
-    n_words = -(-n_bits // _WORD_BITS)
-    bits = np.empty(n_words, dtype=np.uint64)
-    rank = np.empty(n_words, dtype=np.int32)
-    segment = np.empty(min(_SEGMENT, n_words * _WORD_BITS), dtype=bool)
-    running = 1  # the prime 2
-    for a in range(0, n_bits, _SEGMENT):
-        size = min(_SEGMENT, n_bits - a)
+    n_odd = (limit + 1) // 2  # byte j stands for 2j + 1 <= limit
+    n_cycles = -(-n_odd // 120) * 8  # cycles of 15 odd numbers, in whole words
+    bits = np.empty(n_cycles // 8, dtype=np.uint64)
+    rank = np.empty(n_cycles // 8, dtype=np.int32)
+    # the fewest segments of at most _SEGMENT cycles, each as small as they allow
+    step = -(-n_cycles // (8 * -(-n_cycles // _SEGMENT))) * 8
+    segment = np.empty(15 * step, dtype=bool)
+    gathered = np.empty((min(_GATHER, step), 8), dtype=bool)
+    table_bytes = bits.view(np.uint8)  # byte c holds cycle c, the words little-endian
+    running = 3  # the primes 2, 3 and 5
+    for c in range(0, n_cycles, step):
+        cycles = min(step, n_cycles - c)
+        a = 15 * c
+        size = min(15 * cycles, n_odd - a)
         done = min(_WHEEL, size)
         segment[:done] = pattern[a % _WHEEL:a % _WHEEL + done]
         while done < size:  # done stays a multiple of the period until the last copy
@@ -328,10 +373,14 @@ def build_table(limit: int, *, limit_cap: int = DEFAULT_LIMIT_CAP) -> PrimeTable
         starts = np.maximum(firsts[:k], a + (halves[:k] - a) % base[:k]) - a
         for p, s in zip(base[:k].tolist(), starts.tolist()):
             segment[s:size:p] = False
-        words = np.packbits(segment[:-(-size // _WORD_BITS) * _WORD_BITS],
-                            bitorder="little").view(np.uint64)
-        w = a // _WORD_BITS
-        bits[w:w + len(words)] = words
+        for g in range(0, cycles, _GATHER):
+            grid = segment[15 * g:15 * min(g + _GATHER, cycles)].reshape(-1, 15)
+            for i, j in enumerate(_SPOKE_BYTES):  # strided copies beat a fancy index
+                gathered[:len(grid), i] = grid[:, j]
+            table_bytes[c + g:c + g + len(grid)] = np.packbits(gathered[:len(grid)],
+                                                                bitorder="little")
+        w = c // 8
+        words = bits[w:w + cycles // 8]
         counts = np.bitwise_count(words)
         rank[w] = running
         np.cumsum(counts[:-1], dtype=np.int32, out=rank[w + 1:w + len(words)])
@@ -372,11 +421,7 @@ def theta_from(table: PrimeTable, ns: np.ndarray, done: int, total: int
     unpacked _VALUE_BLOCK values at a time, and each point takes the
     correctly rounded total of those at or below it, as theta gives it."""
     out = np.empty(len(ns))
-    last = int(ns[-1])
-    for a in range(done, last, _VALUE_BLOCK):
-        b = min(a + _VALUE_BLOCK, last)
-        i, j = np.searchsorted(ns, (a, b), side="right")  # the points in (a, b]
-        ps = table.primes_in(a, b)
+    for i, j, ps in _value_blocks(table, ns, done):
         if len(ps):
             prefix, after = limb_prefix(log_scaled(np.log(ps.astype(np.float64))), total)
             # each prime counts from the first point at or above it on
@@ -386,6 +431,31 @@ def theta_from(table: PrimeTable, ns: np.ndarray, done: int, total: int
         else:
             out[i:j] = log_value(total)
     return out, total
+
+
+def pi_from(table: PrimeTable, ns: np.ndarray, done: int, count: int
+            ) -> tuple[np.ndarray, int]:
+    """pi at the ascending integer points ns, all in (done, table.limit], as
+    int32, from count = pi(done); returned with pi(ns[-1]).  The primes in
+    between are unpacked as theta_from unpacks them, and counted."""
+    out = np.empty(len(ns), dtype=np.int32)
+    for i, j, ps in _value_blocks(table, ns, done):
+        # each prime counts from the first point at or above it on
+        cuts = np.concatenate(([0], np.searchsorted(ns[i:j], ps), [j - i]))
+        out[i:j] = np.repeat(np.arange(count, count + len(ps) + 1), np.diff(cuts))
+        count += len(ps)
+    return out, count
+
+
+def _value_blocks(table: PrimeTable, ns: np.ndarray, done: int
+                  ) -> Iterator[tuple[int, int, np.ndarray]]:
+    # (i, j, ps) for each _VALUE_BLOCK of values (a, b] from done up to
+    # ns[-1]: ns[i:j] are the points in it and ps its primes
+    last = int(ns[-1])
+    for a in range(done, last, _VALUE_BLOCK):
+        b = min(a + _VALUE_BLOCK, last)
+        i, j = np.searchsorted(ns, (a, b), side="right")
+        yield i, j, table.primes_in(a, b)
 
 
 def nth_prime(table: PrimeTable, k: int) -> int:
@@ -399,13 +469,13 @@ def nth_prime(table: PrimeTable, k: int) -> int:
     if k > len(table):
         raise OutOfRangeError(
             f"table up to {table.limit} holds only {len(table)} primes")
-    if k == 1:
-        return 2
+    if k <= 3:
+        return (2, 3, 5)[k - 1]
     # the word holding the k-th prime, then its bit among the word's set bits
     w = int(np.searchsorted(table.rank, k, side="left")) - 1
     flags = np.unpackbits(table.bits[w:w + 1].view(np.uint8), bitorder="little")
     j = w * _WORD_BITS + int(np.flatnonzero(flags)[k - int(table.rank[w]) - 1])
-    return 2 * j + 1
+    return 30 * (j >> 3) + _SPOKES[j & 7]
 
 
 def check_dusart_theta(table: PrimeTable, x: float) -> tuple[BoundReport, BoundReport]:

@@ -38,7 +38,7 @@ import numpy as np
 
 from .errors import DomainError, FactprimesError, OutOfRangeError, checked
 from .primes import (PrimeTable, limb_prefix, log_scaled, log_totals, log_value,
-                     nth_prime, pi, prime_blocks)
+                     nth_prime, prime_blocks)
 from .special_functions import lambert_w
 from .valuation import _legendre_exponents, valuation_vector
 
@@ -102,8 +102,7 @@ def upsilon(table: PrimeTable, n: int) -> UpsilonResult:
     """
     from fractions import Fraction
     n = checked("n", n, 2, table=table)
-    ups = upsilon_value(table, n)
-    pi_n = pi(table, n)
+    ups, _, pi_n, _ = _anchor(table, n)
     mean_exact = Fraction(ups, pi_n)
     return UpsilonResult(n=n, upsilon=ups, pi_n=pi_n, mean_exact=mean_exact,
                          mean=float(mean_exact))

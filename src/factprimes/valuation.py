@@ -257,11 +257,6 @@ def _legendre_exponents(ps: np.ndarray, n: int) -> np.ndarray:
     return v
 
 
-def _odd_exponent_primes(table: PrimeTable, n: int, v: np.ndarray) -> np.ndarray:
-    # primes p <= n with v_p(n!) odd, from v = valuation_vector(table, n)
-    return table.primes_up_to(n)[(v & 1) == 1]
-
-
 class ValuationProfile(Record):
     """Full prime decomposition of n!: aligned arrays of primes and exponents."""
 

@@ -539,6 +539,27 @@ class TestSweepEngine:
         theta_n = np.concatenate([c.theta for c in cols])
         assert theta_n.tolist() == table_big.log_prefix[table_big.count(ns) - 1].tolist()
 
+    @pytest.mark.parametrize("n_from,n_to,size", [
+        (2, 3000, 777), (250_000, 280_000, 777), (12_580_000, 12_604_000, 777),
+        (2, 600_000, 300_000)])
+    def test_carried_pi_matches_pointwise(self, n_from, n_to, size, table_big, monkeypatch):
+        # pi along a run, read once at n_from - 1 and carried across slices
+        # (of 300000 points, also across the value blocks of primes_in),
+        # is the table's count, and gives evaluate_theorem's reports
+        monkeypatch.setattr(bounds, "slice_points", lambda n_to: size)
+        cols = list(bounds.columns(table_big, ("pi",), n_from, n_to))
+        assert all(c.pi is not None for c in cols)
+        ns = np.concatenate([c.n for c in cols])
+        assert ns.tolist() == list(range(n_from, n_to + 1))
+        assert np.concatenate([c.pi for c in cols]).tolist() == table_big.count(ns).tolist()
+        for tid in ("PI_LB", "PI_UB") if size < 1000 else ():
+            reports, _ = verify_range(table_big, tid, n_from, n_to)
+            for r in reports[::97] + reports[-3:]:
+                assert r == evaluate_theorem(table_big, tid, int(r.n)), (tid, r.n)
+        # wider steps count pi from the table in evaluate
+        assert all(c.pi is None for c in bounds.columns(table_big, ("pi",), n_from, n_to,
+                                                        step=7))
+
     @pytest.mark.parametrize("tid", ALL_IDS)
     @pytest.mark.parametrize("log_samples", [None, 40])
     def test_summary_matches_pointwise_reduction(self, tid, log_samples, table_small):

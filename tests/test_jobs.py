@@ -89,6 +89,14 @@ def test_chunks_cover_the_points_in_order():
     assert cli._chunks(5, 1000, 3, 1, 1) == [(5, 1000)]
 
 
+def test_rows_split_from_two_chunks_of_2_to_the_15(monkeypatch):
+    # a 50k-row --out range costs as much split as not, so it stays whole;
+    # a 100k-row one gains from --jobs 2
+    monkeypatch.setattr(cli, "_CAN_SPLIT", True)
+    assert cli._chunks(3, 50_100, 1, 2, cli.MIN_CHUNK_ROWS) == [(3, 50_100)]
+    assert cli._chunks(3, 100_100, 1, 2, cli.MIN_CHUNK_ROWS) == [(3, 50_051), (50_052, 100_100)]
+
+
 # ------------------------------------------------------ in a process of its own
 
 def probe(tmp_path, script, marker="", timeout=120):

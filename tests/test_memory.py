@@ -20,6 +20,10 @@ from factprimes import (bounds, build_table, cli, evaluate_theorem,
 from factprimes.upsilon import factorial_points, odd_exponent_primes
 
 N = 2_000_000
+# build_table's transient beyond the table: one segment of byte flags (15
+# bytes a cycle of 30), the bytes gathered from _GATHER cycles (8 a cycle)
+# and their packed bits, and the base primes with their starts
+BUILD_TRANSIENT = 15 * primes._SEGMENT + 9 * primes._GATHER + (1 << 17)
 
 
 def traced_peak(fn, *args, **kwargs):
@@ -39,11 +43,21 @@ def table():
 
 
 def test_build_table_holds_bits_ranks_and_one_segment():
-    table, peak = traced_peak(build_table, N)
-    # N/16 bytes of bits and N/32 of ranks, plus one segment of byte flags
-    # and its packed words; neither primes nor the log prefix is built
-    assert table.bits.nbytes + table.rank.nbytes <= N // 16 + N // 32 + 16
-    assert peak <= table.bits.nbytes + table.rank.nbytes + 3 * primes._SEGMENT // 2
+    check_build_table(N)
+
+
+@pytest.mark.parametrize("limit", [30 * primes._SEGMENT - 1, 30 * primes._SEGMENT + 1,
+                                   20_000_000])
+def test_build_table_at_segment_edges_and_the_cli_cap(limit):
+    check_build_table(limit)
+
+
+def check_build_table(limit):
+    table, peak = traced_peak(build_table, limit)
+    # limit/30 bytes of bits and limit/60 of ranks (1.0 MB at 2e7), plus
+    # one segment's transient; neither primes nor the log prefix is built
+    assert table.bits.nbytes + table.rank.nbytes <= limit // 30 + limit // 60 + 16
+    assert peak <= table.bits.nbytes + table.rank.nbytes + BUILD_TRANSIENT
     assert "primes" not in vars(table) and "log_prefix" not in vars(table)
 
 
@@ -98,7 +112,7 @@ def test_decompose_costs_the_table_and_one_block(table, fmt, monkeypatch):
         code, peak = traced_peak(cli.main, ["decompose", str(N), "--format", fmt])
     assert code == cli.EXIT_OK
     table_bytes = table.bits.nbytes + table.rank.nbytes
-    assert peak <= table_bytes + 3 * primes._SEGMENT // 2 + 32 * primes._PREFIX_BLOCK
+    assert peak <= table_bytes + BUILD_TRANSIENT + 32 * primes._PREFIX_BLOCK
 
 
 def test_no_query_builds_the_prime_array():

@@ -259,19 +259,27 @@ class TestThetaClassAdditivity:
             assert total == pytest.approx(ref, rel=1e-9)
 
 
+SPOKES = (1, 7, 11, 13, 17, 19, 23, 29)  # the residues prime to 30
+
+
 def reference_table(limit):
     """bits and rank of build_table(limit), from a plain sieve of every
-    integer up to limit."""
+    integer up to limit mapped onto the wheel: bit k stands for
+    30 (k // 8) + SPOKES[k % 8], set iff that number is a prime <= limit,
+    in whole little-endian words; rank[w] is 3 (for 2, 3 and 5) plus the
+    bits set in the words before w."""
     sieve = np.ones(limit + 1, dtype=bool)
     sieve[:2] = False
     for p in range(2, math.isqrt(limit) + 1):
         if sieve[p]:
             sieve[p * p::p] = False
-    odd = sieve[1::2]  # bit j stands for 2j + 1
-    padded = np.zeros(-(-len(odd) // 64) * 64, dtype=bool)
-    padded[:len(odd)] = odd
-    bits = np.packbits(padded, bitorder="little").view(np.uint64)
-    rank = 1 + np.concatenate(([0], np.cumsum(np.bitwise_count(bits)[:-1], dtype=np.int64)))
+    cycles = (limit - 1) // 30 + 1  # the last holds limit, or a number above it
+    numbers = (30 * np.arange(-(-cycles // 8) * 8)[:, None] + SPOKES).ravel()
+    flags = np.zeros(len(numbers), dtype=bool)
+    inside = numbers <= limit
+    flags[inside] = sieve[numbers[inside]]
+    bits = np.packbits(flags, bitorder="little").view(np.uint64)
+    rank = 3 + np.concatenate(([0], np.cumsum(np.bitwise_count(bits)[:-1], dtype=np.int64)))
     return bits, rank
 
 
@@ -285,24 +293,32 @@ def assert_reference_table(limit):
 
 class TestBitTable:
     def test_small_tables_are_the_reference(self):
-        # the wheel primes 3 .. 13 and 1 are set apart in the first segment
+        # the pre-sieve primes 7 .. 13 and 1 are set apart in the first
+        # segment; 2, 3 and 5 have no bit
         for limit in range(2, 301):
             assert_reference_table(limit)
 
     def test_wheel_and_segment_edges(self):
-        # the wheel repeats every 15015 bits; segments hold 2^18 bits
-        wheel = [15015 * k + d for k in (1, 2, 3, 7) for d in (-1, 1)]
-        segments = [2 * primes._SEGMENT * k + d for k in (1, 2, 3) for d in (-1, 1)]
-        for limit in wheel + segments:
+        # a word holds 8 cycles of 30; the pre-sieve repeats every 15015 odd
+        # numbers (30030 values); a segment holds at most _SEGMENT cycles,
+        # so these limits add a segment, and the segments of the last two
+        # are of _SEGMENT cycles less one word
+        cycles = [30 * k + d for k in (8, 9, 100) for d in (-1, 0, 1)]
+        wheel = [30030 * k + d for k in (1, 2, 3, 7) for d in (-1, 1)]
+        segments = [30 * primes._SEGMENT * k + d for k in (1, 2, 3) for d in (-1, 1)]
+        segments += [30 * (primes._SEGMENT - 8) * k for k in (2, 3)]
+        for limit in cycles + wheel + segments:
             assert_reference_table(limit)
 
     @pytest.mark.parametrize("limit", [10**6, 12_630_000])
     def test_large_tables_are_the_reference(self, limit):
         assert_reference_table(limit)
 
-    @pytest.mark.parametrize("limit", [2, 3, 127, 128, 129, 255, 256, 257, 10001])
+    @pytest.mark.parametrize("limit", [2, 3, 4, 5, 6, 7, 29, 30, 31, 127, 128, 129, 239,
+                                       240, 241, 255, 256, 257, 10001])
     def test_count_is_pi_everywhere(self, limit):
-        # word edges: bit 63 stands for 127, bit 64 for 129
+        # below 5 from the small table; word edges: bit 63 stands for 239,
+        # bit 64 for 241
         table = build_table(limit)
         ps = table.primes_in(0, limit)
         xs = np.arange(limit + 1)
@@ -333,10 +349,32 @@ class TestBitTable:
         assert [nth_prime(table_small, k) for k in range(1, 1230)] == expected
 
     def test_table_size(self):
-        table = build_table(20_000_000)
+        # 8 bits for 30 numbers and an int32 rank a word: 1.0 MB at 2e7
+        limit = 20_000_000
+        table = build_table(limit)
         assert table.rank.dtype == np.int32 and table.bits.dtype == np.uint64
-        assert table.bits.nbytes + table.rank.nbytes <= 2_500_000
+        assert table.bits.nbytes + table.rank.nbytes <= limit // 30 + limit // 60 + 16
         assert "primes" not in vars(table)
+
+    @given(limit=st.integers(2, 100_000), data=st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_queries_match_sympy(self, limit, data):
+        table = build_table(limit)
+        small = st.integers(0, min(limit, 40))
+        xs = data.draw(st.lists(st.one_of(small, st.integers(0, limit)), min_size=1,
+                                max_size=30), label="xs")
+        reals = data.draw(st.lists(st.floats(0, limit), max_size=10), label="reals")
+        expected = [int(sympy.primepi(x)) for x in xs]
+        assert table.count(np.array(xs, dtype=np.int64)).tolist() == expected
+        assert [table._pi(x) for x in xs] == expected
+        assert table.count(np.array(reals, dtype=np.float64)).tolist() == [
+            int(sympy.primepi(math.floor(x))) for x in reals]
+        x = data.draw(st.one_of(small, st.integers(0, limit)), label="x")
+        assert table.primes_up_to(x).tolist() == list(sympy.primerange(2, x + 1))
+        assert table.primes_in(x // 3, x).tolist() == list(sympy.primerange(x // 3 + 1, x + 1))
+        assert len(table) == sympy.primepi(limit)
+        k = data.draw(st.integers(1, len(table)), label="k")
+        assert nth_prime(table, k) == sympy.prime(k)
 
     @given(limit=st.integers(2, 100_000), data=st.data())
     @settings(max_examples=40, deadline=None)

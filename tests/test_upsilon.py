@@ -14,7 +14,6 @@ from factprimes import (DomainError, FactprimesError, OutOfRangeError,
 from factprimes.primes import log_totals
 from factprimes.upsilon import (_anchor, factorial_points, factorial_windows,
                                 odd_exponent_primes, omega_window)
-from factprimes.valuation import _odd_exponent_primes
 
 
 class TestUpsilon:
@@ -137,7 +136,7 @@ def check_point(table, n):
     assert ups == int(v.sum()) == upsilon_value(table, n), n
     assert pi_n == len(v) == pi(table, n), n
     assert parity.tolist() == (v[:pi(table, math.isqrt(n))] & 1).tolist(), n
-    odd = _odd_exponent_primes(table, n, v)
+    odd = table.primes_up_to(n)[(v & 1) == 1]
     assert total == log_totals(odd), n
     res = perfecter_factorial(table, n)
     assert odd_exponent_primes(table, n).tolist() == odd.tolist(), n
