@@ -49,8 +49,7 @@ import numpy as np
 from .errors import DomainError, ResourceLimitError, checked
 from .primes import PrimeTable, pi, pi_from, theta, theta_from
 from .report import MARGINAL_SLACK, BoundReport, Record
-from .special_functions import (DEFAULT_QUADRATURE, QuadratureSpec,
-                                exp_integral, integrate)
+from .special_functions import exp_integral, integrate
 from .upsilon import Columns, factorial_points, factorial_windows
 
 if TYPE_CHECKING:
@@ -213,7 +212,7 @@ def _kappa(lg):
     return 5000 * lg / (6381 + 5000 * lg)
 
 
-def compute_constants(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ConstantsTable:
+def compute_constants() -> ConstantsTable:
     """Recompute every constant from its defining expression.
 
     Closed forms are evaluated directly, c2 and c6 by adaptive quadrature,
@@ -224,8 +223,8 @@ def compute_constants(spec: QuadratureSpec = DEFAULT_QUADRATURE) -> ConstantsTab
     c1 = (-5937 * lg2**2 + 3965 * lg2 + 1586) / (600 * lg2**3)
     c5 = (8337 * lg2**2 - 3965 * lg2 - 1586) / (600 * lg2**3)
 
-    c2, c2_err = integrate(_integrand_upper, 2.0, math.e + 1.0, spec)
-    c6, c6_err = integrate(_integrand_lower, 2.0, math.e, spec)
+    c2, c2_err = integrate(_integrand_upper, 2.0, math.e + 1.0)
+    c6, c6_err = integrate(_integrand_lower, 2.0, math.e)
 
     ei1 = exp_integral(1, 1.0)
     ei2 = exp_integral(1, 2.0)

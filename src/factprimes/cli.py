@@ -390,19 +390,16 @@ def cmd_verify(args) -> int:
 
 def cmd_constants(args) -> int:
     if not args.tol >= 0:  # nan too
-        print(f"--tol must be a number >= 0, got {args.tol!r}", file=sys.stderr)
-        return EXIT_USAGE
+        raise DomainError(f"--tol must be a number >= 0, got {args.tol!r}")
     table = bounds.compute_constants()
     names = list(table.entries)
     if args.only is not None:
         wanted = [w.strip() for w in args.only.split(",") if w.strip()]
         if not wanted:
-            print(f"--only names no constant: {args.only!r}", file=sys.stderr)
-            return EXIT_USAGE
+            raise DomainError(f"--only names no constant: {args.only!r}")
         unknown = [w for w in wanted if w not in table.entries]
         if unknown:
-            print(f"unknown constant name(s): {', '.join(unknown)}", file=sys.stderr)
-            return EXIT_USAGE
+            raise DomainError(f"unknown constant name(s): {', '.join(unknown)}")
         names = wanted
     header = f"{'name':<8} {'recomputed':>20} {'tabulated':>16} {'abs_diff':>12}  method"
     print(header)

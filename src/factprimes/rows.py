@@ -20,8 +20,8 @@ from a pool of words, a word for each 4-digit group, out of tables of the
 or put a decimal point first; a %s cell is the bytes of its S array.  A
 field keeps only the words that are not NUL in every cell of the block.
 The cells this does not cover go through % one at a time: ints outside
-[0, 10^12), and for %.12g 0, -0.0, inf, nan and every value that %.12g
-writes in exponent form.
+[0, 10^12); for %.12g 0, -0.0, inf, nan, every value that %.12g writes
+in exponent form, and the rare cells of step 3 below.
 
 %.12g, exactly.  For finite x != 0, let a = |x| and X the decimal exponent
 of a rounded to 12 significant digits.  %.12g writes fixed notation where
@@ -40,18 +40,13 @@ step is exact in binary64:
    one (10^12 is a binary64 number and rounding is monotone), and k drops
    by one.  Where hi reached 10^12 only by rounding, a 10^k is within half
    an ulp (2^-14) of it, and both exponents round to the same 10^(X+1).
-3. Let N = rint(hi) and r = hi - N, exact by Sterbenz's lemma.  With lo =
-   a 10^k - hi, r is a multiple of u = ulp(hi) <= 2^-13 and |lo| <= u/2,
-   so where |r| < 1/2, |r + lo| <= 1/2 - u/2 and D = N.  At r = +-1/2 the
-   sign of lo decides: D = N + 1 if r = 1/2 and lo > 0, N - 1 if r = -1/2
-   and lo < 0, and else N, which rint made the even neighbour of an exact
-   tie (lo = 0).  Dekker's TwoProduct (Numer. Math. 18, 1971), with
-   Veltkamp's split of both factors into 26-bit halves and no FMA, gives lo
-   exactly at those cells: a >= 2^-17 and 10^k <= 1e17 keep every partial
-   product normal and finite.
-4. D = 10^12 after rounding is 10^(X+1): D becomes 10^11 and k drops by
-   one.  Cells whose final k leaves [0, 15] go through %.
-5. For integers n < 2^53 and j >= 0, floor(fl(n / 10^j)) = floor(n / 10^j):
+3. Let N = rint(hi) and r = hi - N.  As hi < 2^40, hi and N are multiples
+   of u = ulp(hi) <= 2^-13, so r is exact, and |r| <= 1/2 - u where |r| !=
+   1/2.  With |a 10^k - hi| <= u/2, a 10^k is then within 1/2 - u/2 of N,
+   and D = N.  Cells with |r| = 1/2, which only the part of a 10^k that hi
+   dropped decides, cells with N = 10^12, and cells whose k leaves [0, 15]
+   go through %.
+4. For integers n < 2^53 and j >= 0, floor(fl(n / 10^j)) = floor(n / 10^j):
    a quotient that is not an integer is at least 10^-j from the next one,
    and fl errs by less than 2^-53 n / 10^j < 10^-j.  The products and
    differences of integers below 2^53 that follow are exact, and F is
@@ -114,7 +109,6 @@ _SCALE = 10.0 ** np.arange(18)
 _E = np.arange(2048) - 1023
 _FIRST_K = np.where((_E >= -17) & (_E < 40), 11 - np.floor(_E * np.log10(2)), 99
                     ).astype(np.intp)
-_SPLIT = 2.0 ** 27 + 1
 # cells of one spec rendered in one pass: fewer passes make fewer numpy
 # calls, larger ones hold more memory at once
 _PASS_CELLS = 3072
@@ -243,12 +237,9 @@ def _float_cells(col: np.ndarray, spec: str) -> np.ndarray:
     k -= a * _SCALE[k] >= 1e12
     hi = a * _SCALE[k]
     d = np.rint(hi)
-    ties = np.flatnonzero(np.abs(hi - d) == 0.5)
-    if ties.size:
-        d[ties] += _tie_step(a[ties], _SCALE[k[ties]], hi[ties], hi[ties] - d[ties])
+    slow[np.abs(hi - d) == 0.5] = True
     if d.max() >= 1e12:
-        carry = d == 1e12
-        d[carry], k[carry] = 1e11, k[carry] - 1
+        slow |= d == 1e12
     slow |= k.view(np.uint64) > 15  # k < 0 too
     d[slow], k[slow] = 1.0, 0
     p = _SCALE[k]
@@ -274,16 +265,6 @@ def _float_cells(col: np.ndarray, spec: str) -> np.ndarray:
                 later |= nonzero
         index += digits
     return _words(index, spec, col, slow)
-
-
-def _tie_step(a: np.ndarray, p: np.ndarray, hi: np.ndarray, r: np.ndarray) -> np.ndarray:
-    # D - N at the cells where r = hi - N is +-1/2: the sign of lo = a p - hi
-    # decides, lo from Dekker's TwoProduct
-    c, e = _SPLIT * a, _SPLIT * p
-    a_hi, p_hi = c - (c - a), e - (e - p)
-    a_lo, p_lo = a - a_hi, p - p_hi
-    lo = ((a_hi * p_hi - hi) + a_hi * p_lo + a_lo * p_hi) + a_lo * p_lo
-    return ((r == 0.5) & (lo > 0)) * 1.0 - ((r == -0.5) & (lo < 0))
 
 
 def _byte_cells(col: np.ndarray, spec: str) -> np.ndarray:

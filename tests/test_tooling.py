@@ -3,8 +3,8 @@ example, rather than ending the run in an INTERNALERROR while reporting it;
 the single-point commands import no numpy module lazily, and only a run
 that writes rows imports the row writer; the program entry,
 and only it, freezes the collector; no file that .gitignore excludes (a
-build or test artifact) is tracked; README's CLI examples still parse, and
-its library example runs to the values its comments state."""
+build or test artifact) is tracked; README's CLI examples still parse and
+run, and its library example runs to the values its comments state."""
 
 import ast
 import gc
@@ -112,21 +112,31 @@ def test_main_with_arguments_leaves_the_collector_alone(capsys):
     assert (gc.get_freeze_count(), gc.isenabled()) == before
 
 
-def test_readme_cli_examples_parse():
-    # every factprimes line of README's sh blocks, through the parser only:
-    # an example that shows a command or flag the CLI no longer has fails
+def test_readme_cli_examples_run(tmp_path, monkeypatch, capsys):
+    # every factprimes line of README's sh blocks parses, then runs in
+    # tmp_path to exit 0 under the default sieve cap: an example that shows
+    # a command or flag the CLI no longer has, or a request it refuses,
+    # fails; each --out file holds its header and at least one row
     from factprimes import cli
     readme = (PYPROJECT.parent / "README.md").read_text()
     examples = [shlex.split(line)[1:]
                 for block in re.findall(r"```sh\n(.*?)```", readme, re.S)
                 for line in block.splitlines() if line.startswith("factprimes ")]
     assert len(examples) >= 5
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.delenv(cli.MAX_SIEVE_ENV, raising=False)
     parser = cli.build_parser()
     for argv in examples:
+        example = f"factprimes {shlex.join(argv)}"
         try:
             parser.parse_args(argv)
         except SystemExit:
-            pytest.fail(f"README example does not parse: factprimes {shlex.join(argv)}")
+            pytest.fail(f"README example does not parse: {example}")
+        assert cli.main(argv) == 0, f"{example}: {capsys.readouterr().err}"
+        if "--out" in argv:
+            lines = (tmp_path / argv[argv.index("--out") + 1]).read_text().splitlines()
+            assert lines[0] in (cli.CSV_HEADER, cli.SCAN_HEADER), example
+            assert len(lines) >= 2, example
 
 
 def test_readme_library_example_runs():
